@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec figures bench bench-guard serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -109,6 +109,15 @@ lint-tasks:
 lint-wcec:
 	$(GO) run ./cmd/ehlint -wcec -golden > results/ehlint_wcec.golden
 	@git diff --stat -- results/ehlint_wcec.golden
+
+# regenerate the committed figures: every results/*.csv and the ASCII
+# rendering in results/figures.txt, from a cold `ehfigs -fig all`.
+# Output is byte-identical at any worker count, so CI reruns this and
+# fails on any diff under results/: a change that moves a number must
+# commit the regenerated figures with it.
+figures:
+	$(GO) run ./cmd/ehfigs -fig all -cache off -csv results > results/figures.txt
+	@git diff --stat -- results/
 
 # regenerate BENCH_core.json: the execution-engine macro-benchmark
 # (reference vs batched on the counter/bench-supply configuration).

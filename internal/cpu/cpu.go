@@ -33,6 +33,11 @@ const (
 	cyclesSys    = 1
 )
 
+// MaxStepCycles is the most cycles any single instruction takes (a
+// division). A batch that starts instructions only below its budget
+// therefore ends at most MaxStepCycles−1 cycles past it.
+const MaxStepCycles = cyclesDiv
+
 // CyclesFor returns the cycle cost Step charges for in; taken selects
 // the taken cost for conditional branches. The static analyzer prices
 // paths with it, so it must stay in lockstep with Step's accounting.
@@ -418,14 +423,13 @@ const (
 	StopPCRange
 )
 
-// StepRec is the compact per-instruction record StepN appends to its
-// sink: just what the device needs to replay the energy-accounting
-// sequence of the per-step engine bit for bit. 8 bytes per instruction.
+// StepRec is the compact per-instruction record StepN appends to a
+// sink: the cycle position and store address the device's observation
+// recorder needs. 8 bytes per instruction.
 type StepRec struct {
 	Cycles uint8 // 1..8 today; uint8 leaves headroom
-	Class  uint8 // energy.InstrClass
 	Flags  uint8 // RecAccess | RecStore
-	_      uint8
+	_      [2]uint8
 	Addr   uint32 // access address, valid when RecAccess
 }
 
@@ -445,8 +449,11 @@ type BatchSink struct {
 // Batch summarizes one StepN call.
 type Batch struct {
 	Cycles uint64 // total cycles consumed by executed instructions
-	Steps  int    // instructions executed
-	Stop   StopReason
+	// ClassCycles splits Cycles by power class — all the device needs
+	// to settle the batch's energy as Σ cycles × ε_class.
+	ClassCycles [energy.NumClasses]uint64
+	Steps       int // instructions executed
+	Stop        StopReason
 	// HasSys/Sys describe the final executed instruction (not only
 	// StopSys batches: a budget stop can land on an unmasked SYS).
 	HasSys bool
@@ -454,12 +461,13 @@ type Batch struct {
 }
 
 // StepN executes instructions until the consumed cycles reach budget,
-// appending one StepRec per instruction to sink. It stops early — after
-// executing the instruction — at a halt or at any SYS in the stop mask,
-// and stops before fetching when the PC leaves the code. A memory or
-// decode error returns the batch of the instructions that did execute
-// (the failing one changed no state, exactly like Step) alongside the
-// error. StepN performs no allocation when the sink has capacity.
+// appending one StepRec per instruction to sink when sink is non-nil.
+// It stops early — after executing the instruction — at a halt or at
+// any SYS in the stop mask, and stops before fetching when the PC
+// leaves the code. A memory or decode error returns the batch of the
+// instructions that did execute (the failing one changed no state,
+// exactly like Step) alongside the error. StepN performs no allocation
+// when the sink is nil or has capacity.
 func (c *Core) StepN(code []isa.Instr, m Memory, budget uint64, stop isa.SysMask, sink *BatchSink) (Batch, error) {
 	var b Batch
 	var st Step
@@ -471,22 +479,24 @@ func (c *Core) StepN(code []isa.Instr, m Memory, budget uint64, stop isa.SysMask
 		if err := c.stepInto(code, m, &st); err != nil {
 			return b, err
 		}
-		flags := uint8(0)
-		addr := uint32(0)
-		if st.HasAccess {
-			flags = RecAccess
-			if st.Access.Store {
-				flags |= RecStore
+		if sink != nil {
+			flags := uint8(0)
+			addr := uint32(0)
+			if st.HasAccess {
+				flags = RecAccess
+				if st.Access.Store {
+					flags |= RecStore
+				}
+				addr = st.Access.Addr
 			}
-			addr = st.Access.Addr
+			sink.Recs = append(sink.Recs, StepRec{
+				Cycles: uint8(st.Cycles),
+				Flags:  flags,
+				Addr:   addr,
+			})
 		}
-		sink.Recs = append(sink.Recs, StepRec{
-			Cycles: uint8(st.Cycles),
-			Class:  uint8(st.Class),
-			Flags:  flags,
-			Addr:   addr,
-		})
 		b.Cycles += st.Cycles
+		b.ClassCycles[st.Class] += st.Cycles
 		b.Steps++
 		b.HasSys, b.Sys = st.HasSys, st.Sys
 		if st.HasSys && (c.Halted || stop.Has(st.Sys)) {

@@ -138,6 +138,7 @@ func (d *Device) encodeCheckpoint(p Payload) []uint32 {
 		sram = d.mem.SnapshotSRAM()[:d.SRAMFootprint()]
 	}
 	words := make([]uint32, 0, ckptHeaderWords+len(sram)/4)
+	framWrites := d.mem.FRAMStores()
 	var flags uint32
 	if p.SaveSRAM {
 		flags |= ckptFlagSRAM
@@ -147,7 +148,7 @@ func (d *Device) encodeCheckpoint(p Payload) []uint32 {
 	}
 	words = append(words, flags, uint32(p.ArchBytes), uint32(p.AppBytes),
 		d.core.PC, d.core.SenseSeq, uint32(len(sram)),
-		uint32(d.framWrites), uint32(d.framWrites>>32))
+		uint32(framWrites), uint32(framWrites>>32))
 	for _, r := range d.core.Regs {
 		words = append(words, r)
 	}
@@ -325,7 +326,7 @@ func (d *Device) writeWords(words []uint32, totalCyc uint64, totalOmega float64,
 		}
 		write(i, w)
 		if i == tearAt {
-			d.cap.SetVoltage(0)
+			d.empty()
 			return false
 		}
 	}
@@ -471,14 +472,14 @@ func (d *Device) restoreNaive() (restored, alive bool, err error) {
 // fail-stops with the same typed error. The naive validation mode skips
 // the guard: it exists to diverge so the auditor can catch it.
 func (d *Device) coldStart() (restored, alive bool, err error) {
-	if d.inj != nil && !d.naiveCommit() && d.framWrites > 0 {
+	if framWrites := d.mem.FRAMStores(); d.inj != nil && !d.naiveCommit() && framWrites > 0 {
 		if d.obs != nil {
-			d.emit(obsv.EvUnrecoverable, 0, d.framWrites, 0)
+			d.emit(obsv.EvUnrecoverable, 0, framWrites, 0)
 		}
 		return false, false, &UnrecoverableError{
 			RestoreSeq: 0,
 			NewestSeq:  d.maxSeq,
-			LostStores: d.framWrites,
+			LostStores: framWrites,
 		}
 	}
 	if d.everCommitted {
@@ -515,14 +516,14 @@ func (d *Device) applySlot(slot int, rec energy.CommitRecord) (restored, alive b
 	if err != nil {
 		return false, false, fmt.Errorf("device: CRC-valid checkpoint failed to decode: %w", err)
 	}
-	if d.inj != nil && d.framWrites > ck.framWrites && (rec.Seq < d.maxSeq || !d.strat.ReplaySafe()) {
+	if framWrites := d.mem.FRAMStores(); d.inj != nil && framWrites > ck.framWrites && (rec.Seq < d.maxSeq || !d.strat.ReplaySafe()) {
 		if d.obs != nil {
-			d.emit(obsv.EvUnrecoverable, rec.Seq, d.framWrites-ck.framWrites, 0)
+			d.emit(obsv.EvUnrecoverable, rec.Seq, framWrites-ck.framWrites, 0)
 		}
 		return false, false, &UnrecoverableError{
 			RestoreSeq: rec.Seq,
 			NewestSeq:  d.maxSeq,
-			LostStores: d.framWrites - ck.framWrites,
+			LostStores: framWrites - ck.framWrites,
 		}
 	}
 	return d.applyDecoded(ck, slot, rec)

@@ -73,8 +73,10 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	for i := range d.core.Regs {
 		d.core.Regs[i] = uint32(0x1000 + i)
 	}
-	d.framWrites = 1<<33 + 5
 	if err := d.mem.StoreWord(mem.SRAMBase, 0x11223344); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.mem.StoreWord(mem.FRAMBase, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,6 +85,12 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if want := ckptHeaderWords + d.SRAMFootprint()/4; len(words) != want {
 		t.Fatalf("image %d words, want %d", len(words), want)
 	}
+	if got := uint64(words[6]) | uint64(words[7])<<32; got != d.mem.FRAMStores() || got != 1 {
+		t.Fatalf("image records %d FRAM stores, want %d", got, d.mem.FRAMStores())
+	}
+	// A count past 32 bits must survive the lo/hi word split.
+	var framWrites uint64 = 1<<33 + 5
+	words[6], words[7] = uint32(framWrites), uint32(framWrites>>32)
 	ck, err := decodeCheckpoint(words, d.SRAMFootprint())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -96,8 +104,8 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if ck.core.Regs != d.core.Regs {
 		t.Errorf("registers did not roundtrip")
 	}
-	if ck.framWrites != d.framWrites {
-		t.Errorf("framWrites %d, want %d (64-bit split broken)", ck.framWrites, d.framWrites)
+	if ck.framWrites != framWrites {
+		t.Errorf("framWrites %d, want %d (64-bit split broken)", ck.framWrites, framWrites)
 	}
 	if want := d.mem.SnapshotSRAM()[:d.SRAMFootprint()]; !bytes.Equal(ck.sram, want) {
 		t.Errorf("sram snapshot %x, want %x", ck.sram, want)

@@ -236,8 +236,9 @@ const (
 	EngineDefault Engine = iota
 	// EngineBatched runs the event-horizon engine: instructions execute
 	// in batches bounded by the next event (power death, strategy
-	// trigger, scheduled fault, poll chunk) and accounting settles once
-	// per batch by replaying the per-step energy sequence bit for bit.
+	// trigger, scheduled fault, poll chunk) and each batch settles once,
+	// as per-class cycle counts times the per-cycle energies on the
+	// capacitor's integer ledger.
 	EngineBatched
 	// EngineReference runs the original per-instruction loop. Results
 	// are byte-identical to EngineBatched (the equivalence oracle test
@@ -388,9 +389,9 @@ type Config struct {
 	// Record, when non-nil, logs the run's observation sequence (input
 	// reads, committed outputs, checkpoint/restore lineage) for the
 	// formal correctness oracle (internal/faults). Attaching a recorder
-	// forces SysSense into the batch-stop mask and disables the fused
-	// settle path so every input read gets an exact per-instruction
-	// timestamp; results are unchanged (see obslog.go).
+	// forces SysSense into the batch-stop mask and makes batches keep
+	// per-instruction records so every input read and store gets an
+	// exact cycle stamp; results are unchanged (see obslog.go).
 	Record *ObsLog
 }
 
@@ -439,8 +440,8 @@ func (c *Config) Validate() error {
 	if err := c.Power.Validate(); err != nil {
 		return err
 	}
-	if c.CapC <= 0 || c.CapVMax <= 0 {
-		return fmt.Errorf("device: capacitor C=%g Vmax=%g must be positive", c.CapC, c.CapVMax)
+	if err := energy.CheckCapacitor(c.CapC, c.CapVMax); err != nil {
+		return fmt.Errorf("device: %w", err)
 	}
 	if !(0 <= c.VOff && c.VOff < c.VOn && c.VOn <= c.CapVMax) {
 		return fmt.Errorf("device: need 0 ≤ VOff < VOn ≤ VMax, have %g/%g/%g", c.VOff, c.VOn, c.CapVMax)
@@ -496,12 +497,6 @@ type Device struct {
 	// everCommitted distinguishes a cold start that lost a checkpoint
 	// (counted as a recovery event) from one that never had any.
 	everCommitted bool
-	// framWrites counts data stores to nonvolatile memory since the run
-	// began; each checkpoint records the count at its commit. Rolling
-	// execution back past a commit cannot roll these stores back, so a
-	// restore older than the newest commit is only crash-consistent when
-	// the two counts match (see the unrecoverability guard in ckpt.go).
-	framWrites uint64
 	// maxSeq is the newest commit sequence number that ever landed — the
 	// ground truth the staleness guard compares restore targets against.
 	maxSeq uint64
@@ -511,8 +506,25 @@ type Device struct {
 	// attached — see naiveCommit.
 	stratNaive bool
 
-	timeS  float64
 	cycles uint64 // total consumed cycles (exec+backup+restore+idle)
+	// Simulated time is derived from the cycle count: the active period
+	// began at cycle cBase and time tBase, so how execution was split
+	// into batches cannot change it (see timeAt).
+	tBase float64
+	cBase uint64
+
+	// Ledger thresholds in attojoules: ½·C·V² at VOn and VOff, the
+	// per-class cycle energies ε, and the worst active-class ε.
+	eOn, eOff int64
+	epc       [energy.NumClasses]int64
+	maxEPC    int64
+	// nextGrid is the absolute cycle at which the current harvest-grid
+	// cell ends (noGrid on a bench supply); see creditGrid.
+	nextGrid uint64
+	// spent counts the energy removed from the capacitor (draws, power
+	// cuts, tears) since the run began; each accounting bracket charges
+	// its category with the difference across it.
+	spent int64
 
 	// Interrupt/deadline polling (run.go): wall-clock start of the
 	// current Run and the simulated work since the last real check.
@@ -520,12 +532,14 @@ type Device struct {
 	sincePoll uint64
 
 	// Batched-engine state (run.go): the resolved engine, the SYS codes
-	// that end a batch, the reusable per-batch record sink, and the
-	// worst-case active energy per cycle the event-horizon math uses.
-	engine  Engine
-	stopSys isa.SysMask
-	sink    cpu.BatchSink
-	maxEPC  float64
+	// that end a batch, the per-instruction record sink (only with an
+	// observation recorder, which needs store cycle stamps), and the
+	// executed cycles each engine path ran (batches vs per step).
+	engine      Engine
+	stopSys     isa.SysMask
+	sink        *cpu.BatchSink
+	batchCycles uint64
+	stepCycles  uint64
 
 	// obs is the attached lifecycle tracer; nil means observability is
 	// disabled and every emission site reduces to this nil check
@@ -552,8 +566,9 @@ type Device struct {
 
 	// per-period running counters
 	period        PeriodStats
+	led           ledger  // the period's energy split, aJ
 	sinceCommit   uint64  // executed cycles not yet committed by a backup
-	pendingE      float64 // energy of those uncommitted cycles
+	pendingE      int64   // energy of those uncommitted cycles, aJ
 	execSinceBkup uint64  // executed cycles since last backup (for τ_B)
 	chargeS       float64 // recharge time preceding the current period
 
@@ -609,8 +624,13 @@ func New(cfg Config, s Strategy) (*Device, error) {
 	}
 	d.engine = cfg.Engine.resolve()
 	d.obs = resolveObserver(cfg.Observe)
-	d.maxEPC = math.Max(cfg.Power.EnergyPerCycle(energy.ClassALU),
-		cfg.Power.EnergyPerCycle(energy.ClassMem))
+	d.eOn = energy.EnergyAt(cfg.CapC, cfg.VOn)
+	d.eOff = energy.EnergyAt(cfg.CapC, cfg.VOff)
+	for cl := range d.epc {
+		d.epc[cl] = energy.AJ(cfg.Power.EnergyPerCycle(energy.InstrClass(cl)))
+	}
+	d.maxEPC = max(d.epc[energy.ClassALU], d.epc[energy.ClassMem])
+	d.nextGrid = noGrid
 	if so, ok := s.(SysObserver); ok {
 		d.stopSys = so.ObservedSys()
 	} else {
@@ -627,6 +647,7 @@ func New(cfg Config, s Strategy) (*Device, error) {
 		// every instruction anyway, so the Horizon contract already
 		// requires strategies to tolerate them.
 		d.stopSys |= isa.MaskOf(isa.SysSense)
+		d.sink = &cpu.BatchSink{Recs: make([]cpu.StepRec, 0, maxBatchCycles)}
 	}
 	s.Attach(d)
 	return d, nil
@@ -648,24 +669,20 @@ func (d *Device) Cfg() Config { return d.cfg }
 // instruction. Task runtimes key their boundary table on it.
 func (d *Device) PC() uint32 { return d.core.PC }
 
-// Voltage returns the current capacitor voltage.
-func (d *Device) Voltage() float64 { return d.cap.Voltage() }
-
-// StoredEnergy returns the capacitor's usable energy above VOff,
-// clamped at zero when the voltage sits below the brown-out threshold.
-func (d *Device) StoredEnergy() float64 {
-	e := d.cap.UsableEnergy(d.cap.Voltage(), d.cfg.VOff)
-	if e < 0 {
-		return 0
-	}
-	return e
+// EnergyExceeds reports whether the usable energy above VOff exceeds j
+// joules — the threshold comparator of Hibernus-style runtimes. It
+// compares on the ledger with j rounded to attojoules, exactly as
+// CyclesAboveEnergy does, so a batch that horizon bounds never skips
+// an instruction after which the comparator would have fired.
+func (d *Device) EnergyExceeds(j float64) bool {
+	return d.cap.Stored()-d.eOff > energy.AJ(j)
 }
 
 // FullSupply returns the usable energy of a freshly charged capacitor —
 // the model's E. Threshold-based strategies use it to place their
 // trigger voltage relative to the period budget.
 func (d *Device) FullSupply() float64 {
-	return d.cap.UsableEnergy(d.cfg.VOn, d.cfg.VOff)
+	return energy.Joules(d.eOn - d.eOff)
 }
 
 // ExecSinceBackup returns executed cycles since the last committed
@@ -697,40 +714,26 @@ func (d *Device) BackupCost(p Payload) float64 {
 // checkpoint slots are corrupted and the device cold-restarts.
 func (d *Device) HasCheckpoint() bool { return d.hasCkpt }
 
-// CyclesAboveEnergy returns a conservative count of cycles the device
-// can execute before its stored energy (above VOff) could drop to
-// target: worst active class, harvesting ignored, and a slack margin
-// subtracted to swallow floating-point drift. Threshold strategies use
-// it as their Horizon — the guarantee is one-sided: the true crossing
-// never happens sooner, so a batch bounded by it cannot skip past the
-// step where the per-step engine would have fired.
+// CyclesAboveEnergy returns how many cycles the device can start
+// instructions in while EnergyExceeds(target) provably holds after
+// every one: the exact integer quotient of the headroom by the worst
+// active class's ε, less the MaxStepCycles−1 a batch's last instruction
+// may overrun. Harvesting only adds energy and is ignored. Threshold
+// strategies use it as their Horizon, the engine as its brown-out
+// horizon (target 0).
 func (d *Device) CyclesAboveEnergy(target float64) uint64 {
 	if d.maxEPC <= 0 {
 		return HorizonInfinite
 	}
-	avail := d.StoredEnergy() - target
+	avail := d.cap.Stored() - d.eOff - energy.AJ(target)
 	if avail <= 0 {
 		return 0
 	}
-	n := avail / d.maxEPC
-	if n >= 1<<62 {
-		return HorizonInfinite
-	}
-	return horizonSlack(uint64(n))
-}
-
-// horizonSlack shaves a safety margin off a conservatively computed
-// cycle horizon: 64 cycles absolute (covering the ≤ 7-cycle instruction
-// overshoot many times over) plus 2⁻¹⁶ relative (orders of magnitude
-// above the ~2⁻⁵² relative error a batch's float arithmetic can
-// accumulate). Horizons at or below the margin round down to zero,
-// which the engine treats as "per-step territory".
-func horizonSlack(n uint64) uint64 {
-	slack := 64 + n>>16
-	if n <= slack {
+	n := uint64((avail-1)/d.maxEPC) + 1
+	if n <= cpu.MaxStepCycles {
 		return 0
 	}
-	return n - slack
+	return n - cpu.MaxStepCycles
 }
 
 func (d *Device) transferCycles(bytes int, sigma float64) uint64 {
@@ -740,27 +743,29 @@ func (d *Device) transferCycles(bytes int, sigma float64) uint64 {
 	return uint64(math.Ceil(float64(bytes) / sigma))
 }
 
-// consume draws energy for n cycles of the given class, harvesting in
-// parallel, and reports whether the supply survived (stayed at or above
-// VOff).
+// noGrid is nextGrid on a bench supply: no harvest cell ever ends.
+const noGrid = ^uint64(0)
+
+// harvestGrid is the harvest-credit grid in cycles. Energy harvested
+// while the device is on is credited per grid cell, when execution
+// completes the cell, so the credit depends only on where the cell lies
+// and never on how execution was split into steps or batches. 256
+// cycles (16 µs at 16 MHz) is far finer than any harvest trace feature.
+const harvestGrid = 256
+
+// consume draws energy for n cycles of the given class, after crediting
+// the harvest-grid cells those cycles complete, and reports whether the
+// supply survived (stayed at or above VOff).
 func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	if n == 0 {
-		return d.cap.Voltage() >= d.cfg.VOff
+		return d.cap.Stored() >= d.eOff
 	}
-	dt := float64(n) * d.cfg.Power.CyclePeriod()
-	if d.cfg.Harvester != nil {
-		h := d.cfg.Harvester.EnergyOver(d.timeS, dt)
-		d.period.HarvestedE += d.cap.Store(h)
-	}
-	d.timeS += dt
-	d.cycles += n
-	e := float64(n) * d.cfg.Power.EnergyPerCycle(class)
-	ok := d.cap.Draw(e)
-	alive := ok && d.cap.Voltage() >= d.cfg.VOff
+	d.advance(n)
+	alive := d.drain(int64(n) * d.epc[class])
 	// Scheduled supply faults fire independent of the capacitor model:
 	// the injector empties the store mid-flight, wherever execution is.
 	if alive && d.inj != nil && d.inj.PowerCutDue(d.cycles) {
-		d.cap.SetVoltage(0)
+		d.empty()
 		d.result.Faults.PowerCuts++
 		if d.obs != nil {
 			d.emit(obsv.EvFaultPowerCut, 0, 0, 0)
@@ -770,12 +775,52 @@ func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	return alive
 }
 
+// advance moves the cycle count forward by n, crediting every harvest
+// cell that completes.
+func (d *Device) advance(n uint64) {
+	d.cycles += n
+	for d.cycles >= d.nextGrid {
+		d.credit(d.nextGrid-harvestGrid, harvestGrid)
+		d.nextGrid += harvestGrid
+	}
+}
+
+// credit stores the energy the harvester delivers over the n cycles
+// starting at absolute cycle c0 of the current period.
+func (d *Device) credit(c0, n uint64) {
+	d.led.harvested += d.cap.Store(d.cellHarvest(c0, n))
+}
+
+// cellHarvest is the harvester's yield over n cycles from cycle c0 of
+// the current period, rounded to attojoules.
+func (d *Device) cellHarvest(c0, n uint64) int64 {
+	return energy.AJ(d.cfg.Harvester.EnergyOver(d.timeAt(c0), float64(n)*d.cfg.Power.CyclePeriod()))
+}
+
+// timeAt is the simulated time at cycle c of the current period. The
+// explicit conversion rounds the product before the sum, so no
+// architecture fuses the two into a multiply-add.
+func (d *Device) timeAt(c uint64) float64 {
+	return d.tBase + float64(float64(c-d.cBase)*d.cfg.Power.CyclePeriod())
+}
+
+// now is the current simulated time.
+func (d *Device) now() float64 { return d.timeAt(d.cycles) }
+
+// drain removes aj attojoules (none when aj ≤ 0) and reports whether
+// the supply stayed at or above VOff.
+func (d *Device) drain(aj int64) bool {
+	removed, ok := d.cap.Draw(aj)
+	d.spent += removed
+	return ok && d.cap.Stored() >= d.eOff
+}
+
+// empty drops the store to zero — a supply cut or injected tear.
+func (d *Device) empty() {
+	d.spent += d.cap.Stored()
+	d.cap.SetStored(0)
+}
+
 // drawExtra draws flat energy (per-byte NVM surcharges) with no time
 // passing.
-func (d *Device) drawExtra(e float64) bool {
-	if e <= 0 {
-		return d.cap.Voltage() >= d.cfg.VOff
-	}
-	ok := d.cap.Draw(e)
-	return ok && d.cap.Voltage() >= d.cfg.VOff
-}
+func (d *Device) drawExtra(e float64) bool { return d.drain(energy.AJ(e)) }

@@ -1,6 +1,7 @@
 package device_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/faults"
+	"ehmodel/internal/isa"
+	"ehmodel/internal/obsv"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/trace"
 	"ehmodel/internal/workload"
@@ -113,8 +116,8 @@ func diffResults(a, b *device.Result) string {
 
 // equivFullMatrix reports whether the oracle should run its full
 // workload × strategy × supply matrix. The slice is used in -short runs
-// and under the race detector: race instrumentation slows the fused
-// settle loop roughly 10×, which pushes the full matrix past any
+// and under the race detector: race instrumentation slows the
+// interpreter loop roughly 10×, which pushes the full matrix past any
 // reasonable package timeout, so `make check` runs the matrix in its
 // race-free `go test` pass and keeps the representative slice — every
 // engine path, three strategies, two workloads, one trace, one fault
@@ -180,7 +183,7 @@ func TestEngineEquivalenceBench(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceWideWindow aims the oracle at the fused
+// TestEngineEquivalenceWideWindow aims the oracle at the batched
 // engine's large-batch regimes: timer windows far beyond
 // maxBatchCycles (so batches run at the cap and PostStep firings land
 // mid-stretch), windows aligned to the cap, and the infinite window
@@ -223,18 +226,77 @@ func TestEngineEquivalenceWideWindow(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceMemBound aims the oracle at the exactness of
+// CyclesAboveEnergy: a straight run of loads draws the worst class's
+// energy on every cycle, so a batch's final-instruction overrun is all
+// that separates its budget from the energy left. Supplies of 1000 to
+// 1007 ALU cycles put both parities of that budget on the brown-out
+// and NVP-threshold horizons; without the overrun margin a batch would
+// die inside its horizon.
+func TestEngineEquivalenceMemBound(t *testing.T) {
+	b := asm.New("loads")
+	b.Word("x", 7)
+	b.La(isa.R1, "x")
+	for i := 0; i < 2000; i++ {
+		b.Lw(isa.R4, isa.R1, 0)
+	}
+	b.Out(isa.R4)
+	b.Halt()
+	prog, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for supply := 1000; supply < 1008; supply++ {
+		for _, name := range []string{"timer-infinite", "nvp-threshold"} {
+			supply, name := supply, name
+			t.Run(fmt.Sprintf("%s/%d", name, supply), func(t *testing.T) {
+				t.Parallel()
+				runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
+					cfg := benchEquivCfg(prog, float64(supply))
+					cfg.Engine = eng
+					cfg.MaxPeriods = 3
+					var s device.Strategy = strategy.NewTimer(0, 0.1)
+					if name == "nvp-threshold" {
+						s = strategy.NewNVPThreshold()
+					}
+					d, err := device.New(cfg, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return d, s
+				})
+			})
+		}
+	}
+}
+
 // TestEngineEquivalenceHarvested repeats the oracle with an RF-style
 // harvester driving the supply, so batches meet charge phases, partial
-// periods and harvest-while-executing accounting.
+// periods and harvest-while-executing accounting. Two constant sources
+// aim at the clamp at the capacitor's rating, which the batch budget's
+// clamp horizon must keep out of batches: at 3 V (2.1 mW at R = 3 kΩ,
+// η = 0.7) the store sits at its rating while executing; at 2.2 V
+// (1.13 mW) harvest lies between the ALU and memory draws, so the store
+// hovers just below its rating.
 func TestEngineEquivalenceHarvested(t *testing.T) {
-	kinds := trace.Kinds()
-	if !equivFullMatrix() {
-		kinds = kinds[:1]
+	type source struct {
+		name string
+		src  energy.VoltageSource
 	}
+	var sources []source
+	for _, kind := range trace.Kinds() {
+		sources = append(sources, source{kind.String(), trace.Generate(kind, 20, 1e-3, 42)})
+	}
+	if !equivFullMatrix() {
+		sources = sources[:1]
+	}
+	sources = append(sources,
+		source{"constant-3V", trace.Constant(3, 20, 1e-3)},
+		source{"constant-2.2V", trace.Constant(2.2, 20, 1e-3)})
 	for _, c := range equivSpecs(t) {
-		for _, kind := range kinds {
-			c, kind := c, kind
-			t.Run(c.Name+"/"+kind.String(), func(t *testing.T) {
+		for _, src := range sources {
+			c, src := c, src
+			t.Run(c.Name+"/"+src.name, func(t *testing.T) {
 				t.Parallel()
 				w, ok := workload.Get("counter")
 				if !ok {
@@ -244,9 +306,8 @@ func TestEngineEquivalenceHarvested(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr := trace.Generate(kind, 20, 1e-3, 42)
 				runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
-					h, err := energy.NewHarvester(tr, 3000, 0.7)
+					h, err := energy.NewHarvester(src.src, 3000, 0.7)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -262,6 +323,19 @@ func TestEngineEquivalenceHarvested(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// equivFaultPlan is the oracle's fault mix: scheduled and random power
+// cuts, torn checkpoint writes, bit flips and stale restores.
+func equivFaultPlan(seed int64) faults.Plan {
+	return faults.Plan{
+		Seed:                seed,
+		RandomCutMeanCycles: 30_000,
+		CutCycles:           []uint64{50_000, 123_456},
+		TornWriteProb:       0.01,
+		BitFlipRate:         1e-4,
+		StaleRestoreProb:    0.05,
 	}
 }
 
@@ -284,16 +358,8 @@ func TestEngineEquivalenceFaulted(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					plan := faults.Plan{
-						Seed:                seed,
-						RandomCutMeanCycles: 30_000,
-						CutCycles:           []uint64{50_000, 123_456},
-						TornWriteProb:       0.01,
-						BitFlipRate:         1e-4,
-						StaleRestoreProb:    0.05,
-					}
 					runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
-						inj, err := faults.New(plan)
+						inj, err := faults.New(equivFaultPlan(seed))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -307,6 +373,94 @@ func TestEngineEquivalenceFaulted(t *testing.T) {
 						}
 						return d, s
 					})
+				})
+			}
+		}
+	}
+}
+
+// TestEnergyConservation checks the period ledger balances exactly, in
+// integer attojoules, across the oracle's runtime × {bench, RF trace,
+// fault mix} grid on both engines:
+//
+//	supply + harvested = progress + dead + backup + restore + idle + residual
+//
+// Device.Run enforces the identity itself (an imbalance fails the run
+// with a *device.EngineError); this test recomputes it from the outside —
+// the Result's energy split against the residual each period's closing
+// event reports — so a check that stopped running would be caught too.
+func TestEnergyConservation(t *testing.T) {
+	w, ok := workload.Get("counter")
+	if !ok {
+		t.Fatal("counter workload missing")
+	}
+	supplies := []struct {
+		name  string
+		apply func(t *testing.T, cfg *device.Config)
+	}{
+		{"bench", func(*testing.T, *device.Config) {}},
+		{"rf-spikes", func(t *testing.T, cfg *device.Config) {
+			h, err := energy.NewHarvester(trace.Generate(trace.Spikes, 20, 1e-3, 42), 3000, 0.7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Harvester = h
+		}},
+		{"fault-mix", func(t *testing.T, cfg *device.Config) {
+			inj, err := faults.New(equivFaultPlan(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = inj
+		}},
+	}
+	for _, c := range equivSpecs(t) {
+		for _, sup := range supplies {
+			for _, eng := range []device.Engine{device.EngineReference, device.EngineBatched} {
+				c, sup, eng := c, sup, eng
+				t.Run(fmt.Sprintf("%s/%s/%v", c.Name, sup.name, eng), func(t *testing.T) {
+					t.Parallel()
+					prog, err := w.Build(workload.Options{Seg: c.Seg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := benchEquivCfg(prog, 6000)
+					cfg.Engine = eng
+					sup.apply(t, &cfg)
+					sink := &obsv.SliceSink{}
+					cfg.Observe = sink
+					d, err := device.New(cfg, c.New())
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := d.Run()
+					if eng := (*device.EngineError)(nil); errors.As(err, &eng) {
+						t.Fatal(err)
+					}
+					if err != nil {
+						return // a typed fail-stop (unrecoverable state) is a legitimate outcome
+					}
+					var residuals []float64
+					for _, e := range sink.Events {
+						if e.Type == obsv.EvBrownOut || e.Type == obsv.EvHalt {
+							residuals = append(residuals, e.F)
+						}
+					}
+					if len(residuals) != len(res.Periods) {
+						t.Fatalf("%d period-closing events for %d periods", len(residuals), len(res.Periods))
+					}
+					for i, p := range res.Periods {
+						in := energy.AJ(p.SupplyE) + energy.AJ(p.HarvestedE)
+						out := energy.AJ(p.ProgressE) + energy.AJ(p.DeadE) + energy.AJ(p.BackupE) +
+							energy.AJ(p.RestoreE) + energy.AJ(p.IdleE) + energy.AJ(residuals[i])
+						if in != out {
+							t.Fatalf("period %d: supply+harvested %d aJ != spent+residual %d aJ (off by %d): %+v",
+								i, in, out, in-out, p)
+						}
+						if p.SupplyE <= 0 {
+							t.Errorf("period %d has no supply", i)
+						}
+					}
 				})
 			}
 		}

@@ -61,7 +61,7 @@ func (d *Device) emit(t obsv.EventType, arg, arg2 uint64, f float64) {
 		Type:   t,
 		Period: int32(len(d.result.Periods)),
 		Cycles: d.cycles,
-		TimeS:  d.timeS,
+		TimeS:  d.now(),
 		Arg:    arg,
 		Arg2:   arg2,
 		F:      f,
@@ -78,7 +78,3 @@ func (d *Device) Trace(t obsv.EventType, arg, arg2 uint64) {
 	}
 	d.emit(t, arg, arg2, 0)
 }
-
-// Observing reports whether a tracer is attached, so strategies can
-// skip any work needed only to build event arguments.
-func (d *Device) Observing() bool { return d.obs != nil }

@@ -12,12 +12,14 @@ package device
 //
 // Attaching a recorder never changes simulation results: the recorder
 // is written to, never read, by the engines. It does force SysSense
-// into the batch-stop mask and disables the fused settle path so every
-// input read gets an exact per-instruction timestamp — both are
-// result-neutral by the engine equivalence contract (the reference
-// engine delivers a PostStep after every instruction anyway, and the
-// StepN settle path is proven byte-identical to the fused one). A nil
-// recorder costs the usual single nil check per emission site.
+// into the batch-stop mask, so every input read ends a batch with an
+// exact per-instruction timestamp, and makes batches keep StepN's
+// per-instruction records, so every logged store gets its cycle
+// stamp. Both are result-neutral: extra batch boundaries are allowed by
+// the Horizon contract (the reference engine delivers a PostStep after
+// every instruction anyway), and the records are only read for the
+// log, never for settlement. A nil recorder costs the usual single nil
+// check per emission site.
 
 // obsLogMaxRecords bounds each record slice so a pathological run
 // (thousands of replayed periods) cannot grow the log without limit.

@@ -14,7 +14,7 @@ import (
 // obslog_test.go — the observation recorder's neutrality contract:
 // attaching Config.Record must not change a run's Result in any field,
 // on either engine, with or without fault injection. The recorder
-// disables the fused settle path and widens the batch-stop mask, both
+// keeps per-instruction batch records and widens the batch-stop mask, both
 // covered by the engine-equivalence oracle, so any divergence here is a
 // recorder bug.
 

@@ -6,7 +6,10 @@ import (
 	"os"
 	"testing"
 
+	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
+	"ehmodel/internal/strategy"
+	"ehmodel/internal/workload"
 )
 
 // TestObservabilityDisabledCost is the zero-cost contract's enforcement
@@ -16,7 +19,10 @@ import (
 //
 // The allocation half always runs: allocs/op is deterministic, so any
 // emission site that builds an Event on the disabled path fails the
-// test on every machine. The ns/op half (≤2% over the committed
+// test on every machine. The engine-path counters (batched vs per-step
+// cycles, TestEnginePathAttribution) are maintained on this disabled
+// path too — the macro rows run both paths — and are emitted only when
+// a tracer is attached, so the same rows pin them allocation-free. The ns/op half (≤2% over the committed
 // baseline) only runs under EHSIM_BENCH_GUARD=1 — wall-clock baselines
 // are machine-specific, so `make bench-guard` (and the CI job) opt in
 // on the hardware the baseline was recorded on.
@@ -105,5 +111,60 @@ func TestSpanDisabledCost(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled span path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestEnginePathAttribution checks the engine-path counters that answer
+// "which engine path ran this cell": with a Metrics sink attached every
+// executed cycle (progress plus dead) is attributed to exactly one of
+// batches and the per-step protocol. The reference engine and Horizon-1
+// runtimes (Clank here) run everything per step; the timer runtime
+// under the batched engine runs mostly in batches.
+func TestEnginePathAttribution(t *testing.T) {
+	w, ok := workload.Get("counter")
+	if !ok {
+		t.Fatal("counter workload missing")
+	}
+	cases := []struct {
+		name      string
+		eng       device.Engine
+		strat     string
+		wantBatch bool
+	}{
+		{"timer/batched", device.EngineBatched, "timer", true},
+		{"timer/reference", device.EngineReference, "timer", false},
+		{"clank/batched", device.EngineBatched, "clank", false},
+	}
+	for _, c := range cases {
+		spec, ok := strategy.Lookup(c.strat)
+		if !ok {
+			t.Fatalf("strategy %q missing", c.strat)
+		}
+		prog, err := w.Build(workload.Options{Seg: spec.Seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m obsv.Metrics
+		cfg := benchEquivCfg(prog, 20_000)
+		cfg.Engine = c.eng
+		cfg.Observe = &m
+		d, err := device.New(cfg, spec.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var executed uint64
+		for _, p := range res.Periods {
+			executed += p.ProgressCycles + p.DeadCycles
+		}
+		if got := m.BatchCycles + m.StepCycles; got != executed {
+			t.Errorf("%s: batch %d + step %d = %d cycles, executed %d", c.name, m.BatchCycles, m.StepCycles, got, executed)
+		}
+		if (m.BatchCycles > 0) != c.wantBatch {
+			t.Errorf("%s: batch cycles %d, want batched=%v", c.name, m.BatchCycles, c.wantBatch)
+		}
 	}
 }

@@ -1,6 +1,43 @@
 package device
 
-import "ehmodel/internal/stats"
+import (
+	"fmt"
+
+	"ehmodel/internal/energy"
+	"ehmodel/internal/stats"
+)
+
+// ledger is one active period's energy split in attojoules. Every
+// energy movement lands in exactly one field, so with supply and the
+// residual the store above VOff at power-on and at the period's end:
+//
+//	supply + harvested = progress + dead + backup + restore + idle + residual
+type ledger struct {
+	supply, harvested                     int64
+	progress, dead, backup, restore, idle int64
+}
+
+// check verifies the balance against the period's residual and
+// reports an imbalance as an engine bug.
+func (l *ledger) check(period int, residual int64) error {
+	in := l.supply + l.harvested
+	out := l.progress + l.dead + l.backup + l.restore + l.idle + residual
+	if in != out {
+		return &EngineError{Msg: fmt.Sprintf("period %d energy ledger off by %d aJ: %+v, residual %d", period, in-out, *l, residual)}
+	}
+	return nil
+}
+
+// fill converts the ledger into the period's joule fields.
+func (l *ledger) fill(p *PeriodStats) {
+	p.SupplyE = energy.Joules(l.supply)
+	p.HarvestedE = energy.Joules(l.harvested)
+	p.ProgressE = energy.Joules(l.progress)
+	p.DeadE = energy.Joules(l.dead)
+	p.BackupE = energy.Joules(l.backup)
+	p.RestoreE = energy.Joules(l.restore)
+	p.IdleE = energy.Joules(l.idle)
+}
 
 // PeriodStats records where one active period's cycles and energy went —
 // the measured counterpart of the EH model's Eq. 1 breakdown.
@@ -80,15 +117,6 @@ type Result struct {
 	TimeS float64
 	// Faults reports injected faults and checkpoint recoveries.
 	Faults FaultReport
-}
-
-// sum folds a per-period field.
-func (r *Result) sum(f func(*PeriodStats) float64) float64 {
-	t := 0.0
-	for i := range r.Periods {
-		t += f(&r.Periods[i])
-	}
-	return t
 }
 
 // MeasuredProgress returns the run's energy-based forward progress: the

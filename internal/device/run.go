@@ -107,6 +107,16 @@ func (e *ProgramError) Error() string {
 	return fmt.Sprintf("device: PC %d ran off the end of %q", e.PC, e.Program)
 }
 
+// EngineError reports the simulator catching itself breaking one of
+// its own invariants — energy that appeared or vanished from a period's
+// ledger, or a batch that died inside the horizon meant to protect it.
+// It is never a property of the simulated program or supply.
+type EngineError struct {
+	Msg string
+}
+
+func (e *EngineError) Error() string { return "device: internal engine error: " + e.Msg }
+
 // Interrupt/deadline poll pacing. pollInterrupt only runs the real
 // check (wall clock + context hook) once per pollBatchCycles credited
 // work units; the pollCredit* constants are how much work each loop
@@ -231,7 +241,9 @@ func (d *Device) Run() (*Result, error) {
 				return nil, err
 			}
 		}
-		d.endPeriod()
+		if err := d.endPeriod(); err != nil {
+			return nil, err
+		}
 		if err := d.checkLivelock(); err != nil {
 			return nil, err
 		}
@@ -239,37 +251,40 @@ func (d *Device) Run() (*Result, error) {
 	d.result.Completed = d.halted
 	d.result.Output = append([]uint32(nil), d.committedOut...)
 	d.result.TotalCycles = d.cycles
-	d.result.TimeS = d.timeS
+	d.result.TimeS = d.now()
 	if d.obs != nil {
 		var done uint64
 		if d.result.Completed {
 			done = 1
 		}
+		d.emit(obsv.EvEnginePath, d.batchCycles, d.stepCycles, 0)
 		d.emit(obsv.EvRunEnd, done, 0, 0)
 	}
 	return &d.result, nil
 }
 
 // chargePhase refills the capacitor to VOn. With no harvester the bench
-// supply recharges instantly.
+// supply recharges instantly. It leaves the time anchor at the new
+// period's start and, under a harvester, opens its first harvest cell.
 func (d *Device) chargePhase() error {
-	start := d.timeS
+	start := d.now()
+	d.tBase, d.cBase = start, d.cycles
 	if d.cfg.Harvester == nil {
-		d.cap.SetVoltage(d.cfg.VOn)
+		d.cap.SetStored(d.eOn)
 		d.chargeS = 0
 		return nil
 	}
 	// Adaptive integration: step fine enough to resolve trace features
 	// near the target, coarse when the source is nearly dead (spike
 	// traces spend most of their time at microwatts).
-	for d.cap.Voltage() < d.cfg.VOn {
+	for d.cap.Stored() < d.eOn {
 		// The charge loop can spin for up to maxChargeS of simulated
 		// time on a dying source; poll so a deadline can cut it short.
 		if err := d.pollInterrupt(pollCreditCharge); err != nil {
 			return err
 		}
-		need := d.cap.UsableEnergy(d.cfg.VOn, d.cap.Voltage())
-		p := d.cfg.Harvester.PowerAt(d.timeS)
+		need := energy.Joules(d.eOn - d.cap.Stored())
+		p := d.cfg.Harvester.PowerAt(d.tBase)
 		chunk := 1e-4
 		if p > 0 {
 			if est := need / p / 20; est > chunk {
@@ -281,9 +296,9 @@ func (d *Device) chargePhase() error {
 		if chunk > 0.05 {
 			chunk = 0.05
 		}
-		d.cap.Store(d.cfg.Harvester.EnergyOver(d.timeS, chunk))
-		d.timeS += chunk
-		if d.timeS-start > maxChargeS {
+		d.cap.Store(energy.AJ(d.cfg.Harvester.EnergyOver(d.tBase, chunk)))
+		d.tBase += chunk
+		if d.tBase-start > maxChargeS {
 			return &NoProgressError{
 				Periods:     len(d.result.Periods),
 				StuckV:      d.cap.Voltage(),
@@ -294,47 +309,59 @@ func (d *Device) chargePhase() error {
 			}
 		}
 	}
-	d.chargeS = d.timeS - start
+	d.chargeS = d.tBase - start
+	d.nextGrid = d.cycles + harvestGrid
 	return nil
 }
 
 func (d *Device) beginPeriod() {
-	d.period = PeriodStats{
-		SupplyE:     d.cap.UsableEnergy(d.cap.Voltage(), d.cfg.VOff),
-		ChargeTimeS: d.chargeS,
-	}
+	d.period = PeriodStats{ChargeTimeS: d.chargeS}
+	d.led = ledger{supply: d.cap.Stored() - d.eOff}
 	d.sinceCommit = 0
 	d.pendingE = 0
 	d.execSinceBkup = 0
 }
 
-// endPeriod converts uncommitted execution into dead cycles and archives
-// the period.
-func (d *Device) endPeriod() {
+// endPeriod credits the period's last partial harvest cell, converts
+// uncommitted execution into dead cycles, checks the period's energy
+// ledger balances, and archives the period.
+func (d *Device) endPeriod() error {
+	if d.nextGrid != noGrid {
+		if c0 := d.nextGrid - harvestGrid; d.cycles > c0 {
+			d.credit(c0, d.cycles-c0)
+		}
+		d.nextGrid = noGrid
+	}
 	if !d.halted {
 		// Capture where the period died and how much work it loses, for
 		// the NoProgressError report and the livelock repeat check.
 		d.deathPC = d.core.PC
 		d.deathSince = d.sinceCommit
 	}
+	residual := d.cap.Stored() - d.eOff
 	if d.obs != nil {
 		if d.halted {
-			d.emit(obsv.EvHalt, 0, 0, 0)
+			d.emit(obsv.EvHalt, 0, 0, energy.Joules(residual))
 		} else {
 			active := d.period.ProgressCycles + d.period.BackupCycles +
 				d.period.RestoreCycles + d.period.IdleCycles +
 				d.period.DeadCycles + d.sinceCommit
-			d.emit(obsv.EvBrownOut, d.sinceCommit, active, 0)
+			d.emit(obsv.EvBrownOut, d.sinceCommit, active, energy.Joules(residual))
 		}
 	}
 	if d.rec != nil && !d.halted {
 		d.rec.powerFail()
 	}
 	d.period.DeadCycles += d.sinceCommit
-	d.period.DeadE += d.pendingE
+	d.led.dead += d.pendingE
 	d.sinceCommit = 0
 	d.pendingE = 0
+	if err := d.led.check(len(d.result.Periods), residual); err != nil {
+		return err
+	}
+	d.led.fill(&d.period)
 	d.result.Periods = append(d.result.Periods, d.period)
+	return nil
 }
 
 // checkLivelock runs the exact-repeat livelock diagnosis after a period
@@ -354,8 +381,9 @@ func (d *Device) checkLivelock() error {
 		d.repeatArmed = false
 		return nil
 	}
+	framWrites := d.mem.FRAMStores()
 	if d.repeatArmed && d.deathPC == d.lastDeathPC &&
-		p.DeadCycles == d.lastDeadCycles && d.framWrites == d.lastFramWrites {
+		p.DeadCycles == d.lastDeadCycles && framWrites == d.lastFramWrites {
 		return &NoProgressError{
 			Periods:     len(d.result.Periods),
 			PC:          d.deathPC,
@@ -367,7 +395,7 @@ func (d *Device) checkLivelock() error {
 	d.repeatArmed = true
 	d.lastDeathPC = d.deathPC
 	d.lastDeadCycles = p.DeadCycles
-	d.lastFramWrites = d.framWrites
+	d.lastFramWrites = framWrites
 	return nil
 }
 
@@ -383,11 +411,10 @@ func (d *Device) boot() (alive bool, err error) {
 	}
 	d.strat.Reset()
 
-	eBefore, hBefore := d.cap.Energy(), d.period.HarvestedE
-	cycBefore := d.cycles
+	spent0, cycBefore := d.spent, d.cycles
 	restored, alive, err := d.restoreCheckpoint()
 	d.period.RestoreCycles += d.cycles - cycBefore
-	d.period.RestoreE += eBefore + (d.period.HarvestedE - hBefore) - d.cap.Energy()
+	d.led.restore += d.spent - spent0
 	if err != nil {
 		return false, err
 	}
@@ -436,13 +463,12 @@ func previewAccess(in isa.Instr, c *cpu.Core) AccessPreview {
 // and the engine may execute instructions back to back.
 const (
 	// minBatchCycles is the smallest budget worth batching: below it the
-	// engine runs the exact per-step protocol. It must comfortably
-	// exceed the ≤ 7-cycle instruction overshoot so per-step territory
-	// is entered strictly before any event can fire.
+	// engine runs the exact per-step protocol, which is cheaper than
+	// sizing a batch that would hold a handful of instructions.
 	minBatchCycles = 32
 	// maxBatchCycles caps one batch (and the record sink it fills) so a
-	// long event-free stretch still settles accounting and polls the
-	// interrupt hook at a bounded latency.
+	// long event-free stretch still polls the interrupt hook at a
+	// bounded latency.
 	maxBatchCycles = 1 << 14
 	// cutGuard is slack between a batch's end and the next scheduled
 	// power cut; it must exceed the instruction overshoot so the cut
@@ -502,18 +528,16 @@ func (d *Device) stepOnce(code []isa.Instr) (done bool, err error) {
 	if err != nil {
 		return true, err
 	}
-	if st.HasAccess && st.Access.Store && d.mem.Region(st.Access.Addr) == mem.RegionFRAM {
-		d.framWrites++
-	}
 	cycles := st.Cycles
 	if d.cache != nil && st.HasAccess {
 		cycles += d.cachePenalty(st.Access)
 	}
-	eBefore, hBefore := d.cap.Energy(), d.period.HarvestedE
+	spent0 := d.spent
 	alive := d.consume(cycles, st.Class)
 	d.sinceCommit += cycles
 	d.execSinceBkup += cycles
-	d.pendingE += eBefore + (d.period.HarvestedE - hBefore) - d.cap.Energy()
+	d.stepCycles += cycles
+	d.pendingE += d.spent - spent0
 	if d.rec != nil {
 		if st.HasSys && st.Sys == isa.SysSense {
 			d.rec.sense(d.core.SenseSeq-1, d.cycles, int32(len(d.result.Periods)))
@@ -549,28 +573,16 @@ func (d *Device) stepOnce(code []isa.Instr) (done bool, err error) {
 
 // activePhaseBatched is the event-horizon engine. Each iteration sizes
 // a batch that provably contains no event — the strategy's declared
-// horizon, the conservative brown-out horizon, the next scheduled fault
-// and the run limits all lie at or beyond its end — executes it, then
-// delivers the single synthesized PostStep the Horizon contract
-// promises. On a clean bench supply the batch runs in fusedBatch,
-// which interleaves the per-step energy sequence with interpretation
-// (fused.go); under a harvester or fault injector it runs in one
-// cpu.StepN call whose records settleBatch replays through the full
-// consume() protocol. Both settle modes reproduce the reference
-// engine's floating-point sequence bit for bit. When the nearest
-// event is closer than minBatchCycles the engine falls back to
-// stepOnce, so every event (trigger, brown-out, power cut, halt)
-// fires in exact per-step mode on the same instruction as the
-// reference engine.
+// horizon, the brown-out horizon, the next scheduled fault, the next
+// possible harvest clamp and the run limits all lie at or beyond its
+// end — executes it in one cpu.StepN call, settles it in one ledger
+// update (settle), then delivers the single synthesized PostStep the
+// Horizon contract promises. When the nearest event is closer than
+// minBatchCycles the engine falls back to stepOnce, so every event
+// (trigger, brown-out, power cut, halt) fires in exact per-step mode on
+// the same instruction as the reference engine.
 func (d *Device) activePhaseBatched() error {
 	code := d.cfg.Prog.Code
-	// The fused settle path is reserved for the unobserved fast case:
-	// with a recorder attached the engine takes the StepN+settleBatch
-	// route, whose per-step records carry the store addresses and sense
-	// boundaries the observation log needs. Results are identical either
-	// way (the equivalence oracle proves the two settle modes
-	// byte-identical); only the recording fidelity differs.
-	fused := d.cfg.Harvester == nil && d.inj == nil && d.rec == nil
 	for d.cycles < d.cfg.MaxCycles {
 		if int(d.core.PC) >= len(code) {
 			return &ProgramError{PC: d.core.PC, Program: d.cfg.Prog.Name}
@@ -587,29 +599,15 @@ func (d *Device) activePhaseBatched() error {
 			d.emit(obsv.EvBatchHorizon, budget, d.strat.Horizon(d), 0)
 		}
 
-		var b cpu.Batch
-		var stepErr error
-		if fused {
-			b, stepErr = d.fusedBatch(code, budget)
-		} else {
-			if d.sink.Recs == nil {
-				d.sink.Recs = make([]cpu.StepRec, 0, maxBatchCycles)
-			}
-			d.sink.Recs = d.sink.Recs[:0]
-			b, stepErr = d.core.StepN(code, d.mem, budget, d.stopSys, &d.sink)
-			if b.Steps > 0 {
-				if err := d.settleBatch(d.sink.Recs); err != nil {
-					return err
-				}
-				// A recorder forces SysSense into the stop mask, so a
-				// batch whose final instruction read an input ends here
-				// with the exact per-instruction cycle position.
-				if d.rec != nil && b.HasSys && b.Sys == isa.SysSense {
-					d.rec.sense(d.core.SenseSeq-1, d.cycles, int32(len(d.result.Periods)))
-				}
-			}
-		}
+		c0 := d.cycles
+		b, stepErr := d.core.StepN(code, d.mem, budget, d.stopSys, d.sink)
 		if b.Steps > 0 {
+			if err := d.settle(&b); err != nil {
+				return err
+			}
+			if d.rec != nil {
+				d.recordBatch(c0, &b)
+			}
 			if err := d.pollInterrupt(b.Cycles); err != nil {
 				return err
 			}
@@ -641,6 +639,47 @@ func (d *Device) activePhaseBatched() error {
 	return nil
 }
 
+// settle applies a batch's accounting: draw Σ cycles × ε over its power
+// classes, then credit the harvest cells it completed. Integer sums
+// associate and the budget rules out a clamp or brown-out inside the
+// batch, so this lands on exactly the ledger the reference engine
+// reaches one instruction at a time. A death here would mean
+// instructions ran that the reference engine never executed: an
+// engine bug, not a power failure.
+func (d *Device) settle(b *cpu.Batch) error {
+	var draw int64
+	for cl, n := range b.ClassCycles {
+		draw += int64(n) * d.epc[cl]
+	}
+	if !d.drain(draw) {
+		return &EngineError{Msg: fmt.Sprintf("batch of %d cycles overran its energy horizon", b.Cycles)}
+	}
+	d.advance(b.Cycles)
+	d.pendingE += draw
+	d.sinceCommit += b.Cycles
+	d.execSinceBkup += b.Cycles
+	d.batchCycles += b.Cycles
+	return nil
+}
+
+// recordBatch hands the observation recorder the batch's logged stores,
+// each stamped with the cycle position after its instruction, and the
+// input read a SysSense stop ended the batch on (a recorder forces
+// SysSense into the stop mask, so a sense read always ends a batch).
+func (d *Device) recordBatch(c0 uint64, b *cpu.Batch) {
+	c := c0
+	for _, r := range d.sink.Recs {
+		c += uint64(r.Cycles)
+		if r.Flags&cpu.RecStore != 0 && d.rec.wantsStore(r.Addr) {
+			d.rec.store(r.Addr, c)
+		}
+	}
+	d.sink.Recs = d.sink.Recs[:0]
+	if b.HasSys && b.Sys == isa.SysSense {
+		d.rec.sense(d.core.SenseSeq-1, d.cycles, int32(len(d.result.Periods)))
+	}
+}
+
 // batchBudget returns how many cycles the engine may execute before the
 // next possible event. Anything below minBatchCycles means "per-step
 // territory".
@@ -651,8 +690,8 @@ func (d *Device) batchBudget() uint64 {
 	if budget < minBatchCycles {
 		return budget
 	}
-	// Conservative brown-out horizon: worst active class, no harvest
-	// credit, slack for float drift — the supply cannot die inside it.
+	// Brown-out horizon: worst active class, no harvest credit — the
+	// supply cannot die inside it.
 	if h := d.CyclesAboveEnergy(0); h < budget {
 		budget = h
 	}
@@ -679,43 +718,39 @@ func (d *Device) batchBudget() uint64 {
 			}
 		}
 	}
+	if d.nextGrid != noGrid {
+		budget = d.clampHorizon(budget)
+	}
 	return budget
 }
 
-// settleBatch applies a StepN batch's accounting by replaying the
-// recorded per-step sequence through the full consume() protocol in
-// the reference engine's exact order — FRAM store count, then energy
-// draw (with harvest credit and fault checks), then the progress
-// counters, step by step — so every floating-point operation happens
-// with the same operands and in the same association as the
-// per-instruction loop. Clean bench supplies never come here: their
-// batches run fused with interpretation (fused.go).
-//
-// The batch budget guarantees the supply survives every step (see
-// batchBudget); a mid-batch death would mean instructions executed that
-// the reference engine never ran, so it is reported as an engine bug
-// rather than a power failure.
-func (d *Device) settleBatch(recs []cpu.StepRec) error {
-	var total uint64
-	for _, r := range recs {
-		if r.Flags&cpu.RecStore != 0 && d.mem.Region(r.Addr) == mem.RegionFRAM {
-			d.framWrites++
+// clampHorizon shortens budget so the batch completes no harvest cell
+// whose credit could meet the capacitor's rating. Without a clamp,
+// crediting a batch's cells in one lump lands on the same ledger as
+// crediting them between its instructions; with one, the order would
+// matter. The test is conservative: a cell ending at cycle g is
+// credited by the instruction that reaches g, which starts no earlier
+// than g−MaxStepCycles, so at least that many cycles of the cheapest
+// active class have been drawn by then.
+func (d *Device) clampHorizon(budget uint64) uint64 {
+	room := d.cap.Room()
+	var credit int64
+	for g := d.nextGrid; g < d.cycles+budget+cpu.MaxStepCycles; g += harvestGrid {
+		credit += d.cellHarvest(g-harvestGrid, harvestGrid)
+		var drawn int64
+		if g > d.cycles+cpu.MaxStepCycles {
+			drawn = int64(g-d.cycles-cpu.MaxStepCycles) * min(d.epc[energy.ClassALU], d.epc[energy.ClassMem])
 		}
-		n := uint64(r.Cycles)
-		eBefore, hBefore := d.cap.Energy(), d.period.HarvestedE
-		alive := d.consume(n, energy.InstrClass(r.Class))
-		d.pendingE += eBefore + (d.period.HarvestedE - hBefore) - d.cap.Energy()
-		total += n
-		if d.rec != nil && r.Flags&cpu.RecStore != 0 && d.rec.wantsStore(r.Addr) {
-			d.rec.store(r.Addr, d.cycles)
-		}
-		if !alive {
-			return errBatchOverrun()
+		if credit-drawn > room {
+			// A batch whose instructions all start before g−d.cycles−
+			// MaxStepCycles ends before g.
+			if g <= d.cycles+cpu.MaxStepCycles {
+				return 0
+			}
+			return g - d.cycles - cpu.MaxStepCycles
 		}
 	}
-	d.sinceCommit += total
-	d.execSinceBkup += total
-	return nil
+	return budget
 }
 
 // cachePenalty simulates the access in the cache model and returns the
@@ -742,16 +777,15 @@ func (d *Device) backup(p Payload) bool {
 	if d.obs != nil {
 		d.emit(obsv.EvCheckpointBegin, uint64(p.Bytes()), 0, 0)
 	}
-	eBefore, hBefore := d.cap.Energy(), d.period.HarvestedE
-	cycBefore := d.cycles
+	spent0, cycBefore := d.spent, d.cycles
 	d.bkupStart = cycBefore
 	ok := d.writeCheckpoint(p)
-	bkE := eBefore + (d.period.HarvestedE - hBefore) - d.cap.Energy()
+	bkE := d.spent - spent0
 	d.period.BackupCycles += d.cycles - cycBefore
-	d.period.BackupE += bkE
+	d.led.backup += bkE
 	if !ok {
 		if d.obs != nil {
-			d.emit(obsv.EvCheckpointFail, uint64(p.Bytes()), 0, bkE)
+			d.emit(obsv.EvCheckpointFail, uint64(p.Bytes()), 0, energy.Joules(bkE))
 		}
 		return false
 	}
@@ -762,7 +796,7 @@ func (d *Device) backup(p Payload) bool {
 
 	// Uncommitted execution becomes forward progress.
 	d.period.ProgressCycles += d.sinceCommit
-	d.period.ProgressE += d.pendingE
+	d.led.progress += d.pendingE
 	d.sinceCommit = 0
 	d.pendingE = 0
 	d.period.Backups++
@@ -770,7 +804,7 @@ func (d *Device) backup(p Payload) bool {
 	d.period.AppBytes = append(d.period.AppBytes, p.AppBytes)
 	d.period.PayloadBytes = append(d.period.PayloadBytes, p.Bytes())
 	if d.obs != nil {
-		d.emit(obsv.EvCheckpointCommit, uint64(p.Bytes()), d.execSinceBkup, bkE)
+		d.emit(obsv.EvCheckpointCommit, uint64(p.Bytes()), d.execSinceBkup, energy.Joules(bkE))
 	}
 	d.execSinceBkup = 0
 	return true
@@ -789,10 +823,10 @@ func (d *Device) idleToDeath() error {
 		if err := d.pollInterrupt(chunk); err != nil {
 			return err
 		}
-		eBefore, hBefore := d.cap.Energy(), d.period.HarvestedE
+		spent0 := d.spent
 		alive := d.consume(chunk, energy.ClassIdle)
 		d.period.IdleCycles += chunk
-		d.period.IdleE += eBefore + (d.period.HarvestedE - hBefore) - d.cap.Energy()
+		d.led.idle += d.spent - spent0
 		if !alive {
 			return nil
 		}

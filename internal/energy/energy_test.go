@@ -38,18 +38,18 @@ func TestCapacitorEnergy(t *testing.T) {
 
 func TestCapacitorStoreDraw(t *testing.T) {
 	c, _ := NewCapacitor(100e-6, 5, 0)
-	in := c.Store(1e-3)
-	if in != 1e-3 {
-		t.Errorf("absorbed %g, want all", in)
+	in := c.Store(AJ(1e-3))
+	if in != AJ(1e-3) {
+		t.Errorf("absorbed %d aJ, want all", in)
 	}
-	if got := c.Energy(); math.Abs(got-1e-3) > 1e-12 {
+	if got := c.Energy(); got != 1e-3 {
 		t.Errorf("stored energy %g", got)
 	}
-	if !c.Draw(0.5e-3) {
+	if removed, ok := c.Draw(AJ(0.5e-3)); !ok || removed != AJ(0.5e-3) {
 		t.Error("draw within budget should succeed")
 	}
-	if c.Draw(10) {
-		t.Error("overdraw should report failure")
+	if removed, ok := c.Draw(AJ(10)); ok || removed != AJ(0.5e-3) {
+		t.Errorf("overdraw removed %d aJ ok=%v, want the remaining %d and failure", removed, ok, AJ(0.5e-3))
 	}
 	if c.Voltage() != 0 {
 		t.Error("overdraw should empty the capacitor")
@@ -58,13 +58,35 @@ func TestCapacitorStoreDraw(t *testing.T) {
 
 func TestCapacitorClampsAtRating(t *testing.T) {
 	c, _ := NewCapacitor(100e-6, 5, 4.9)
-	absorbed := c.Store(1) // way more than the headroom
+	before := c.Stored()
+	absorbed := c.Store(AJ(1)) // way more than the headroom
 	if c.Voltage() != 5 {
 		t.Errorf("voltage %g, want clamp at 5", c.Voltage())
 	}
+	if want := EnergyAt(100e-6, 5) - before; absorbed != want {
+		t.Errorf("absorbed %d aJ, want headroom %d", absorbed, want)
+	}
 	headroom := 0.5 * 100e-6 * (25 - 4.9*4.9)
-	if math.Abs(absorbed-headroom) > 1e-12 {
-		t.Errorf("absorbed %g, want headroom %g", absorbed, headroom)
+	if math.Abs(Joules(absorbed)-headroom) > 1e-12 {
+		t.Errorf("absorbed %g J, want headroom %g", Joules(absorbed), headroom)
+	}
+}
+
+// TestCapacitorLedgerUnits pins the ledger's unit: the paper's MSP430
+// per-cycle energies are whole attojoule counts, and a voltage
+// threshold becomes ½·C·V² in aJ.
+func TestCapacitorLedgerUnits(t *testing.T) {
+	pm := MSP430Power()
+	for cl, want := range map[InstrClass]int64{ClassALU: 65_625_000, ClassMem: 75_000_000, ClassIdle: 6_562_500} {
+		if got := AJ(pm.EnergyPerCycle(cl)); got != want {
+			t.Errorf("%v: %d aJ per cycle, want %d", cl, got, want)
+		}
+	}
+	if got := EnergyAt(2e-6, 3); got != 9_000_000_000_000 {
+		t.Errorf("½·2µF·(3V)² = %d aJ, want 9e12", got)
+	}
+	if _, err := NewCapacitor(1, 4, 0); err == nil {
+		t.Error("a capacitor above the ledger limit was accepted")
 	}
 }
 
@@ -89,7 +111,7 @@ func TestSetVoltageClamps(t *testing.T) {
 }
 
 // Property: a Store followed by a Draw of the same amount restores the
-// stored energy (within float tolerance), provided no clamping occurs.
+// stored energy exactly, provided no clamping occurs.
 func TestPropCapacitorConservation(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -103,12 +125,12 @@ func TestPropCapacitorConservation(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		e0 := c.Energy()
-		c.Store(j)
-		if !c.Draw(j) {
-			return true // drained to zero: allowed when e0 ≈ 0
+		e0 := c.Stored()
+		c.Store(AJ(j))
+		if _, ok := c.Draw(AJ(j)); !ok {
+			return e0 == 0 // drained to zero: only when the store started empty
 		}
-		return math.Abs(c.Energy()-e0) < 1e-12
+		return c.Stored() == e0
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

@@ -53,6 +53,8 @@ const corruptByte = 0xAB
 type System struct {
 	sram []byte
 	fram []byte
+	// framStores counts data stores that landed in FRAM.
+	framStores uint64
 }
 
 // NewSystem allocates a memory system. Sizes are in bytes and must be
@@ -131,6 +133,9 @@ func (s *System) StoreWord(addr uint32, v uint32) error {
 		return err
 	}
 	binary.LittleEndian.PutUint32(b[off:], v)
+	if addr >= FRAMBase {
+		s.framStores++
+	}
 	return nil
 }
 
@@ -150,8 +155,17 @@ func (s *System) StoreByte(addr uint32, v byte) error {
 		return err
 	}
 	b[off] = v
+	if addr >= FRAMBase {
+		s.framStores++
+	}
 	return nil
 }
+
+// FRAMStores returns how many word and byte stores have landed in
+// nonvolatile memory since the system was built. Rolling execution back
+// to a checkpoint cannot undo them, which is what the device's
+// unrecoverability guard compares against.
+func (s *System) FRAMStores() uint64 { return s.framStores }
 
 // LoseVolatile corrupts all SRAM contents, modelling a power failure.
 // FRAM is untouched.

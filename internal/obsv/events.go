@@ -47,13 +47,16 @@ const (
 	// record completed; the previous checkpoint remains live.
 	EvCheckpointFail
 	// EvBrownOut ends an active period by supply death. Arg is the
-	// period's dead (uncommitted) cycles — a τ_D sample — and Arg2 its
-	// total active cycles.
+	// period's dead (uncommitted) cycles — a τ_D sample — Arg2 its
+	// total active cycles, and F the residual: the store's energy above
+	// VOff left at the period's end, in joules (negative after the
+	// final draw crossed VOff).
 	EvBrownOut
 	// EvSleep enters the post-backup idle burn (Payload.ThenSleep):
 	// the device sleeps until the supply dies.
 	EvSleep
 	// EvHalt is the program's final commit landing; the run is complete.
+	// F is the residual energy above VOff, as for EvBrownOut.
 	EvHalt
 	// EvRunEnd closes a run. Arg is 1 when the program completed.
 	EvRunEnd
@@ -126,6 +129,12 @@ const (
 	// verdict code (0 certified, 1 livelock, 2 unknown), Arg2 the
 	// region's entry PC.
 	EvWCECRegion
+	// EvEnginePath closes a device run's engine attribution
+	// (engine-diagnostic): Arg is the executed cycles the batched
+	// engine ran in batches, Arg2 the executed cycles it ran through
+	// the per-step protocol. The reference engine reports every
+	// executed cycle as per-step.
+	EvEnginePath
 
 	// NumEventTypes bounds the vocabulary for sink lookup tables.
 	NumEventTypes
@@ -163,6 +172,7 @@ var eventNames = [NumEventTypes]string{
 	EvTaskCommit:       "task-commit",
 	EvTaskReexec:       "task-reexec",
 	EvWCECRegion:       "wcec-region",
+	EvEnginePath:       "engine-path",
 }
 
 func (t EventType) String() string {
@@ -175,7 +185,7 @@ func (t EventType) String() string {
 // EngineDiagnostic reports whether the event's presence is allowed to
 // differ between the batched and reference engines. The golden-trace
 // test filters these out before asserting cross-engine equality.
-func (t EventType) EngineDiagnostic() bool { return t == EvBatchHorizon }
+func (t EventType) EngineDiagnostic() bool { return t == EvBatchHorizon || t == EvEnginePath }
 
 // VerdictClass classifies a correctness-oracle violation (EvVerdict /
 // EvCampaignFinding Arg; internal/faults assigns them). The vocabulary

@@ -175,6 +175,12 @@ type Metrics struct {
 	StaleRestores   uint64 `json:"stale_restores"`
 	Unrecoverables  uint64 `json:"unrecoverables"`
 	BatchedHorizons uint64 `json:"batched_horizons"`
+	// BatchCycles and StepCycles split the executed cycles by engine
+	// path: run in batches, or through the per-step protocol (every
+	// cycle of the reference engine, and of runtimes declaring
+	// Horizon 1 — Clank, Speculative, RegionMeter).
+	BatchCycles uint64 `json:"batch_cycles"`
+	StepCycles  uint64 `json:"step_cycles"`
 
 	// Verdicts counts correctness-oracle violations by class (EvVerdict
 	// and EvCampaignFinding both land here, so sweep and campaign
@@ -288,6 +294,9 @@ func (m *Metrics) Event(e Event) {
 		m.Deadlines++
 	case EvBatchHorizon:
 		m.BatchedHorizons++
+	case EvEnginePath:
+		m.BatchCycles += e.Arg
+		m.StepCycles += e.Arg2
 	case EvTrigger:
 		if e.Arg < uint64(NumTriggerReasons) {
 			m.Triggers[e.Arg]++
@@ -399,6 +408,8 @@ func (m *Metrics) Merge(other *Metrics) {
 	m.StaleRestores += other.StaleRestores
 	m.Unrecoverables += other.Unrecoverables
 	m.BatchedHorizons += other.BatchedHorizons
+	m.BatchCycles += other.BatchCycles
+	m.StepCycles += other.StepCycles
 	for i := range m.Verdicts {
 		m.Verdicts[i] += other.Verdicts[i]
 	}
@@ -454,6 +465,8 @@ func (m *Metrics) rows() [][2]string {
 		{"stale_restores", u(m.StaleRestores)},
 		{"unrecoverables", u(m.Unrecoverables)},
 		{"batched_horizons", u(m.BatchedHorizons)},
+		{"batch_cycles", u(m.BatchCycles)},
+		{"step_cycles", u(m.StepCycles)},
 	}
 	hist := func(name string, h *Histogram) {
 		out = append(out,

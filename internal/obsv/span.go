@@ -319,8 +319,9 @@ func (td *TraceData) WriteTree(w io.Writer) error {
 
 // SpanCounter folds a device's lifecycle event stream into summary
 // attributes on a span: how many active periods, committed backups and
-// brown-outs a simulation cell saw, its final simulated-cycle position
-// and whether it completed. It implements Tracer and, like any
+// brown-outs a simulation cell saw, its final simulated-cycle position,
+// how many executed cycles ran in batches and how many per step, and
+// whether it completed. It implements Tracer and, like any
 // per-device sink, assumes single-goroutine access; call Flush after
 // the run to attach the attributes.
 type SpanCounter struct {
@@ -329,6 +330,8 @@ type SpanCounter struct {
 	backups   uint64
 	brownOuts uint64
 	cycles    uint64
+	batchCyc  uint64
+	stepCyc   uint64
 	completed bool
 }
 
@@ -345,6 +348,8 @@ func (c *SpanCounter) Event(e Event) {
 		c.backups++
 	case EvBrownOut:
 		c.brownOuts++
+	case EvEnginePath:
+		c.batchCyc, c.stepCyc = e.Arg, e.Arg2
 	case EvRunEnd:
 		c.cycles = e.Cycles
 		c.completed = e.Arg == 1
@@ -360,5 +365,7 @@ func (c *SpanCounter) Flush() {
 	c.sp.SetUint("backups", c.backups)
 	c.sp.SetUint("brown_outs", c.brownOuts)
 	c.sp.SetUint("simcycles", c.cycles)
+	c.sp.SetUint("batch_cycles", c.batchCyc)
+	c.sp.SetUint("step_cycles", c.stepCyc)
 	c.sp.SetBool("completed", c.completed)
 }

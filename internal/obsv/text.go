@@ -103,13 +103,17 @@ func eventFields(e Event) []Field {
 	case EvCheckpointCommit:
 		fs = append(fs, Field{"bytes", e.Arg}, Field{"tau_b", e.Arg2}, Field{"e_j", e.F})
 	case EvBrownOut:
-		fs = append(fs, Field{"dead_cycles", e.Arg}, Field{"active_cycles", e.Arg2})
+		fs = append(fs, Field{"dead_cycles", e.Arg}, Field{"active_cycles", e.Arg2}, Field{"residual_j", e.F})
+	case EvHalt:
+		fs = append(fs, Field{"residual_j", e.F})
 	case EvRunEnd:
 		fs = append(fs, Field{"completed", e.Arg == 1})
 	case EvDeadline:
 		fs = append(fs, Field{"boundary_cyc", e.Arg})
 	case EvBatchHorizon:
 		fs = append(fs, Field{"budget", e.Arg}, Field{"strategy_horizon", horizonStr(e.Arg2)})
+	case EvEnginePath:
+		fs = append(fs, Field{"batch_cycles", e.Arg}, Field{"step_cycles", e.Arg2})
 	case EvTrigger:
 		fs = append(fs, Field{"reason", TriggerReason(e.Arg).String()}, Field{"detail", e.Arg2})
 	case EvWARFlush:

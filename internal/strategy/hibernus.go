@@ -59,7 +59,7 @@ func (h *Hibernus) PostStep(d *device.Device, st cpu.Step) *device.Payload {
 	}
 	h.sinceCheck = 0
 	p := fullPayload(d)
-	if d.StoredEnergy() > h.Margin*d.BackupCost(p) {
+	if d.EnergyExceeds(h.Margin * d.BackupCost(p)) {
 		return nil
 	}
 	h.armed = false

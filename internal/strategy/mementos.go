@@ -50,7 +50,7 @@ func (m *Mementos) PostStep(d *device.Device, st cpu.Step) *device.Payload {
 	if frac := m.SupplyFrac * d.FullSupply(); frac > threshold {
 		threshold = frac
 	}
-	if d.StoredEnergy() > threshold {
+	if d.EnergyExceeds(threshold) {
 		return nil
 	}
 	d.Trace(obsv.EvTrigger, uint64(obsv.TrigSite), uint64(p.Bytes()))

@@ -76,7 +76,7 @@ func (n *NVP) PostStep(d *device.Device, _ cpu.Step) *device.Payload {
 	if !n.armed {
 		return nil
 	}
-	if d.StoredEnergy() > n.Margin*d.BackupCost(p) {
+	if d.EnergyExceeds(n.Margin * d.BackupCost(p)) {
 		return nil
 	}
 	n.armed = false

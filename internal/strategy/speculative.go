@@ -74,7 +74,7 @@ func (s *Speculative) PostStep(d *device.Device, st cpu.Step) *device.Payload {
 	}
 	s.sinceCheck = 0
 	p := s.payload(d, d.ExecSinceBackup())
-	if d.StoredEnergy() > s.Margin*d.BackupCost(p) {
+	if d.EnergyExceeds(s.Margin * d.BackupCost(p)) {
 		return nil
 	}
 	s.armed = false

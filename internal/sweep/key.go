@@ -37,7 +37,7 @@ import (
 // Result bit-for-bit (engine fixes, accounting changes, strategy
 // semantics): old store entries then miss instead of serving results the
 // current code would not produce.
-const CodeVersion = "ehmodel-cells-v1"
+const CodeVersion = "ehmodel-cells-v2"
 
 // Key is a cell's canonical content hash — the address of its Result in
 // the store.

@@ -70,6 +70,11 @@ func TestExecutorCellSpans(t *testing.T) {
 		if dev.Attrs["periods"] == "" || dev.Attrs["backups"] == "" {
 			t.Fatalf("device.run attrs %v", dev.Attrs)
 		}
+		// Engine-path attribution: the timer runtime batches, so some
+		// executed cycles ran in batches.
+		if dev.Attrs["step_cycles"] == "" || dev.Attrs["batch_cycles"] == "" || dev.Attrs["batch_cycles"] == "0" {
+			t.Fatalf("device.run engine-path attrs %v", dev.Attrs)
+		}
 	}
 
 	warm, _ := tracedRun(t, e, cells, 2)
