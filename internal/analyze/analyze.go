@@ -44,10 +44,58 @@ const (
 	defaultFRAMSize = 256 << 10
 )
 
-// Analyze runs the full static analysis over prog.
-func Analyze(prog *asm.Program, o Options) (*Report, error) {
+// facts are the program facts every pass shares: the CFG, the interval
+// fixpoint, and each reachable memory access resolved once against the
+// memory layout.
+type facts struct {
+	code []isa.Instr
+	g    *cfg
+	fr   *flowResult
+	acc  []*accessInfo
+	lay  memLayout
+}
+
+func newFacts(prog *asm.Program, o Options) (*facts, error) {
 	if prog == nil || len(prog.Code) == 0 {
 		return nil, fmt.Errorf("analyze: empty program")
+	}
+	f := &facts{
+		code: prog.Code,
+		g:    buildCFG(prog.Code),
+		acc:  make([]*accessInfo, len(prog.Code)),
+		lay:  memLayout{sramSize: uint32(defaultSRAMSize), framSize: uint32(defaultFRAMSize)},
+	}
+	if o.SRAMSize > 0 {
+		f.lay.sramSize = uint32(o.SRAMSize)
+	}
+	if o.FRAMSize > 0 {
+		f.lay.framSize = uint32(o.FRAMSize)
+	}
+	f.fr = runFlow(f.g)
+	for id, b := range f.g.blocks {
+		if !f.fr.reach[id] {
+			continue
+		}
+		for pc := b.Start; pc < b.End; pc++ {
+			in := prog.Code[pc]
+			if in.Op.IsLoad() || in.Op.IsStore() {
+				f.acc[pc] = resolveAccess(pc, in, f.fr.stateAt[pc], f.lay)
+			}
+		}
+	}
+	return f, nil
+}
+
+// reached reports whether the flow fixpoint reached pc's block.
+func (f *facts) reached(pc int) bool {
+	return pc >= 0 && pc < len(f.code) && f.fr.reach[f.g.blockOf[pc]]
+}
+
+// Analyze runs the full static analysis over prog.
+func Analyze(prog *asm.Program, o Options) (*Report, error) {
+	f, err := newFacts(prog, o)
+	if err != nil {
+		return nil, err
 	}
 	bounds := o.Boundaries
 	if bounds == nil {
@@ -57,30 +105,7 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 	for _, s := range bounds {
 		boundarySet[s] = true
 	}
-	lay := memLayout{sramSize: uint32(defaultSRAMSize), framSize: uint32(defaultFRAMSize)}
-	if o.SRAMSize > 0 {
-		lay.sramSize = uint32(o.SRAMSize)
-	}
-	if o.FRAMSize > 0 {
-		lay.framSize = uint32(o.FRAMSize)
-	}
-
-	g := buildCFG(prog.Code)
-	fr := runFlow(g)
-
-	// Resolve every reachable memory access once.
-	acc := make([]*accessInfo, len(prog.Code))
-	for id, b := range g.blocks {
-		if !fr.reach[id] {
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			in := prog.Code[pc]
-			if in.Op.IsLoad() || in.Op.IsStore() {
-				acc[pc] = resolveAccess(pc, in, fr.stateAt[pc], lay)
-			}
-		}
-	}
+	g, acc, lay := f.g, f.acc, f.lay
 
 	r := &Report{
 		Prog: prog.Name,
@@ -102,7 +127,7 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 		PeakWriteWords: region.peakWrite,
 	}
 
-	readFoot, storeFoot := footprints(g, fr, acc, lay)
+	readFoot, storeFoot := footprints(g, f.fr, acc, lay)
 	r.Clank = ClankBound{
 		ReadFirstEntries:  readFoot.size(),
 		WriteFirstEntries: storeFoot.size(),
@@ -121,6 +146,6 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 	}
 
 	r.Loops = analyzeLoops(g, boundarySet)
-	r.lintPass(g, fr, acc, readFoot, noBoundaryBefore(g, boundarySet))
+	r.lintPass(g, f.fr, acc, readFoot, noBoundaryBefore(g, boundarySet))
 	return r, nil
 }

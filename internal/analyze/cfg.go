@@ -8,6 +8,7 @@ package analyze
 // dataflow passes).
 
 import (
+	"slices"
 	"sort"
 
 	"ehmodel/internal/isa"
@@ -152,76 +153,167 @@ func (g *cfg) succEdges(id int) []struct {
 	return out
 }
 
-// reachable marks blocks reachable from the entry block.
-func (g *cfg) reachable() []bool {
-	seen := make([]bool, len(g.blocks))
-	if len(g.blocks) == 0 {
-		return seen
-	}
-	stack := []int{0}
-	seen[0] = true
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.blocks[id].Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
+// regionStep is one in-program transfer out of an instruction; taken
+// selects the price of a branch terminator.
+type regionStep struct {
+	to    int
+	taken bool
 }
 
-// sccsIn returns the strongly connected components of the block graph
-// restricted to the allowed set (nil = every block), in reverse
-// topological order (Tarjan). Restricting and recursing below a loop
-// header is how nested loops are recovered from maximal SCCs.
-func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
-	n := len(g.blocks)
-	ok := func(id int) bool { return allowed == nil || allowed[id] }
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
+// regionNode is one instruction of a region: the transfers that stay
+// in the region, and the taken flag of each transfer that commits.
+type regionNode struct {
+	succ []regionStep
+	ends []bool
+}
+
+// region collects the instructions reachable from entry without
+// crossing a commit. A halt, or a SYS whose code is in stops, commits
+// after it executes; control reaching a PC in cuts commits before that
+// PC executes. Transfers out of the program are dropped: running off
+// the code is a fault, not a commit.
+func (g *cfg) region(entry int, stops map[isa.Sys]bool, cuts map[int]bool) map[int]*regionNode {
+	nodes := map[int]*regionNode{}
+	stack := []int{entry}
+	for len(stack) > 0 {
+		pc := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if nodes[pc] != nil {
+			continue
+		}
+		n := &regionNode{}
+		nodes[pc] = n
+		in := g.code[pc]
+		if s := isa.Sys(in.Imm); in.Op == isa.SYS && (s == isa.SysHalt || stops[s]) {
+			n.ends = append(n.ends, true)
+			continue
+		}
+		step := func(t int, taken bool) {
+			switch {
+			case t < 0 || t >= len(g.code):
+			case cuts[t]:
+				n.ends = append(n.ends, taken)
+			default:
+				n.succ = append(n.succ, regionStep{t, taken})
+				stack = append(stack, t)
+			}
+		}
+		switch {
+		case in.Op.IsBranch():
+			step(pc+1, false)
+			step(pc+int(in.Imm), true)
+		case in.Op == isa.JAL:
+			step(int(in.Imm), true)
+		case in.Op == isa.JALR:
+			for _, rs := range g.returnSites {
+				step(rs, true)
+			}
+		default:
+			step(pc+1, true)
+		}
 	}
+	return nodes
+}
+
+// loop is one loop of a loop-nest forest.
+type loop struct {
+	members []int // node ids, ascending; nested loops' members included
+	// head is the loop's single member entered from outside it. An
+	// irreducible loop has several such members: head is then its
+	// lowest member and no nested loops are recovered.
+	head        int
+	irreducible bool
+	inner       []*loop
+}
+
+// loopForest computes the loop nest of the graph adj (node id → its
+// successor ids) entered at entry: the strongly connected components
+// that hold a cycle are the outermost loops, and removing a loop's
+// header uncovers the loops nested in it. The header is the one member
+// entered from outside the loop, the graph entry counting as entered;
+// a loop nothing enters (unreachable code) is headed by its lowest
+// member. Each level lists its loops in Tarjan order.
+func loopForest(adj map[int][]int, entry int) []*loop {
+	ids := make([]int, 0, len(adj))
+	preds := make(map[int][]int, len(adj))
+	for id, succs := range adj {
+		ids = append(ids, id)
+		for _, s := range succs {
+			preds[s] = append(preds[s], id)
+		}
+	}
+	sort.Ints(ids)
+	var nest func(ids []int) []*loop
+	nest = func(ids []int) []*loop {
+		var out []*loop
+		for _, comp := range sccs(adj, ids) {
+			if len(comp) == 1 && !slices.Contains(adj[comp[0]], comp[0]) {
+				continue // no cycle
+			}
+			in := make(map[int]bool, len(comp))
+			for _, id := range comp {
+				in[id] = true
+			}
+			var heads []int
+			for _, id := range comp {
+				if id == entry || slices.ContainsFunc(preds[id], func(p int) bool { return !in[p] }) {
+					heads = append(heads, id)
+				}
+			}
+			l := &loop{members: comp, head: comp[0], irreducible: len(heads) > 1}
+			if len(heads) == 1 {
+				l.head = heads[0]
+			}
+			if !l.irreducible {
+				l.inner = nest(slices.DeleteFunc(slices.Clone(comp), func(id int) bool { return id == l.head }))
+			}
+			out = append(out, l)
+		}
+		return out
+	}
+	return nest(ids)
+}
+
+// sccs returns the strongly connected components of adj restricted to
+// ids (ascending), each sorted, in reverse topological order. Tarjan's
+// algorithm runs iteratively to stay safe on long chains.
+func sccs(adj map[int][]int, ids []int) [][]int {
+	allowed := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		allowed[id] = true
+	}
+	index := make(map[int]int, len(ids))
+	low := make(map[int]int, len(ids))
+	onStack := make(map[int]bool, len(ids))
 	var stack []int
 	var out [][]int
-	next := 0
-
-	// Iterative Tarjan to stay safe on long chains.
 	type frame struct {
 		v, succIdx int
 	}
 	var dfs []frame
-	for root := 0; root < n; root++ {
-		if index[root] != -1 || !ok(root) {
+	visit := func(v int) {
+		index[v], low[v] = len(index), len(index)
+		stack = append(stack, v)
+		onStack[v] = true
+		dfs = append(dfs, frame{v, 0})
+	}
+	for _, root := range ids {
+		if _, done := index[root]; done {
 			continue
 		}
-		dfs = append(dfs[:0], frame{root, 0})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+		visit(root)
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
-			if f.succIdx < len(g.blocks[f.v].Succs) {
-				w := g.blocks[f.v].Succs[f.succIdx]
+			if f.succIdx < len(adj[f.v]) {
+				w := adj[f.v][f.succIdx]
 				f.succIdx++
-				if !ok(w) {
-					continue
-				}
-				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					dfs = append(dfs, frame{w, 0})
-				} else if onStack[w] {
-					low[f.v] = min64i(low[f.v], index[w])
+				_, done := index[w]
+				switch {
+				case !allowed[w]:
+				case !done:
+					visit(w)
+				case onStack[w]:
+					low[f.v] = min(low[f.v], index[w])
 				}
 				continue
 			}
@@ -229,7 +321,7 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 {
 				p := dfs[len(dfs)-1].v
-				low[p] = min64i(low[p], low[v])
+				low[p] = min(low[p], low[v])
 			}
 			if low[v] == index[v] {
 				var comp []int
@@ -248,26 +340,4 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 		}
 	}
 	return out
-}
-
-// cyclic reports whether the SCC comp actually contains a cycle (more
-// than one block, or a self edge).
-func (g *cfg) cyclic(comp []int) bool {
-	if len(comp) > 1 {
-		return true
-	}
-	id := comp[0]
-	for _, s := range g.blocks[id].Succs {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
-func min64i(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -86,31 +86,24 @@ func noBoundaryBefore(g *cfg, boundaries map[isa.Sys]bool) []bool {
 	return res
 }
 
-// analyzeLoops walks the loop-nest forest: maximal SCCs are the
-// outermost loops, and recursing into each SCC with its header removed
-// uncovers the nested ones. Each loop records store count, checkpoint
-// sites, nesting depth, and — for simple cycles — the iteration cost
-// and τ_store the Eq. 15 check consumes.
+// analyzeLoops walks the loop-nest forest of the block graph. Each loop
+// records store count, checkpoint sites, nesting depth, and — for
+// simple cycles — the iteration cost and τ_store the Eq. 15 check
+// consumes.
 func analyzeLoops(g *cfg, boundaries map[isa.Sys]bool) []LoopInfo {
+	adj := make(map[int][]int, len(g.blocks))
+	for id, b := range g.blocks {
+		adj[id] = b.Succs
+	}
 	var loops []LoopInfo
-	var walk func(allowed map[int]bool, depth int)
-	walk = func(allowed map[int]bool, depth int) {
-		for _, comp := range g.sccsIn(allowed) {
-			if !g.cyclic(comp) {
-				continue
-			}
-			loops = append(loops, classifyLoop(g, comp, boundaries, depth))
-			// comp is sorted ascending, so comp[0] is the header
-			// candidate (the lowest-addressed block, which structured
-			// code enters the loop through).
-			inner := make(map[int]bool, len(comp)-1)
-			for _, id := range comp[1:] {
-				inner[id] = true
-			}
-			walk(inner, depth+1)
+	var walk func(nest []*loop, depth int)
+	walk = func(nest []*loop, depth int) {
+		for _, l := range nest {
+			loops = append(loops, classifyLoop(g, l, boundaries, depth))
+			walk(l.inner, depth+1)
 		}
 	}
-	walk(nil, 0)
+	walk(loopForest(adj, 0), 0)
 	sort.Slice(loops, func(i, j int) bool { return loops[i].HeadPC < loops[j].HeadPC })
 	return loops
 }
@@ -135,17 +128,17 @@ func simpleCycleCost(g *cfg, id int, takenEdge bool) uint64 {
 	return cycles + cpu.CyclesFor(g.code[b.End-1], takenEdge)
 }
 
-// classifyLoop builds the LoopInfo for one cyclic SCC.
-func classifyLoop(g *cfg, comp []int, boundaries map[isa.Sys]bool, depth int) LoopInfo {
-	inComp := make(map[int]bool, len(comp))
-	for _, id := range comp {
+// classifyLoop builds the LoopInfo for one loop of the block graph.
+func classifyLoop(g *cfg, l *loop, boundaries map[isa.Sys]bool, depth int) LoopInfo {
+	inComp := make(map[int]bool, len(l.members))
+	for _, id := range l.members {
 		inComp[id] = true
 	}
 
-	li := LoopInfo{HeadPC: g.blocks[comp[0]].Start, Blocks: len(comp), Depth: depth}
+	li := LoopInfo{HeadPC: g.blocks[l.head].Start, Blocks: len(l.members), Depth: depth}
 	simple := true
 	var cycles uint64
-	for _, id := range comp {
+	for _, id := range l.members {
 		b := g.blocks[id]
 		for pc := b.Start; pc < b.End; pc++ {
 			in := g.code[pc]

@@ -57,15 +57,17 @@ func TestLoopPricingConvention(t *testing.T) {
 	}
 }
 
-// TestSimpleCycleCostMatchesCyclesFor checks the extracted pricing
-// helper on a multi-block *simple* cycle (exactly one in-SCC
-// successor per block, the precondition classifyLoop prices under):
-// the jump-terminated block is priced at its single successor edge,
-// the latch at the taken back edge, and each block's price is the
-// instruction-by-instruction sum of cpu.CyclesFor under that edge
-// kind.
+// TestSimpleCycleCostMatchesCyclesFor checks the loop forest the lint
+// prices over. On multi-block *simple* cycles (exactly one in-loop
+// successor per block, the precondition classifyLoop prices under) the
+// jump-terminated block is priced at its single successor edge, the
+// latch at the taken back edge, and each block's price is the
+// instruction-by-instruction sum of cpu.CyclesFor under that edge kind.
+// A loop is headed at its entry, which for a bottom-tested loop is the
+// test block above its body; an irreducible loop is recorded once, with
+// no nested loops.
 func TestSimpleCycleCostMatchesCyclesFor(t *testing.T) {
-	code := []isa.Instr{
+	jump := []isa.Instr{
 		{Op: isa.ADDI, Rd: isa.R2, Rs1: isa.R0, Imm: 4},  // 0
 		{Op: isa.LW, Rd: isa.R3, Rs1: isa.R0, Imm: 0},    // 1 header
 		{Op: isa.JAL, Rd: isa.R0, Imm: 3},                // 2 block break
@@ -74,26 +76,44 @@ func TestSimpleCycleCostMatchesCyclesFor(t *testing.T) {
 		{Op: isa.BNE, Rd: isa.R2, Rs1: isa.R0, Imm: -4},  // 5 -> 1
 		halt(), // 6
 	}
-	p := rawProg(t, "twoblock", code...)
-	rep := mustAnalyze(t, p)
-	var li *LoopInfo
-	for i := range rep.Loops {
-		if rep.Loops[i].HeadPC == 1 {
-			li = &rep.Loops[i]
+	bottom := []isa.Instr{
+		{Op: isa.ADDI, Rd: isa.R2, Rs1: isa.R0, Imm: 4},  // 0
+		{Op: isa.JAL, Rd: isa.R0, Imm: 4},                // 1 -> test block
+		{Op: isa.SW, Rd: isa.R2, Rs1: isa.R0, Imm: 0},    // 2 body
+		{Op: isa.ADDI, Rd: isa.R2, Rs1: isa.R2, Imm: -1}, // 3
+		{Op: isa.BNE, Rd: isa.R2, Rs1: isa.R0, Imm: -2},  // 4 test -> 2
+		halt(), // 5
+	}
+	cases := []struct {
+		name string
+		code []isa.Instr
+		want LoopInfo // the only loop
+	}{
+		// Header block: LW + JAL (jump cost is edge-kind independent);
+		// latch block: SW + ADDI + BNE at the taken back edge.
+		{"jump", jump, LoopInfo{HeadPC: 1, Blocks: 2, Stores: 1, Simple: true,
+			CyclesPerIter: cpu.CyclesFor(jump[1], false) + cpu.CyclesFor(jump[2], false) +
+				cpu.CyclesFor(jump[3], false) + cpu.CyclesFor(jump[4], false) +
+				cpu.CyclesFor(jump[5], true)}},
+		// Body block: SW + ADDI falling into the test; test block: BNE
+		// at the taken back edge.
+		{"bottom-tested", bottom, LoopInfo{HeadPC: 4, Blocks: 2, Stores: 1, Simple: true,
+			CyclesPerIter: cpu.CyclesFor(bottom[2], false) + cpu.CyclesFor(bottom[3], false) +
+				cpu.CyclesFor(bottom[4], true)}},
+		// Entered at pcs 3 and 5; the self-loop at 5 is not recovered.
+		{"irreducible", irreducibleLoop(), LoopInfo{HeadPC: 3, Blocks: 3}},
+	}
+	for _, c := range cases {
+		if c.want.Simple {
+			c.want.TauStore = float64(c.want.CyclesPerIter) / float64(c.want.Stores)
 		}
-	}
-	if li == nil {
-		t.Fatalf("no loop with head 1 in %+v", rep.Loops)
-	}
-	if !li.Simple {
-		t.Fatalf("two-block jump loop should be simple: %+v", li)
-	}
-	// Header block: LW + JAL (jump cost is edge-kind independent);
-	// latch block: SW + ADDI + BNE at the taken back edge.
-	want := cpu.CyclesFor(code[1], false) + cpu.CyclesFor(code[2], false) +
-		cpu.CyclesFor(code[3], false) + cpu.CyclesFor(code[4], false) +
-		cpu.CyclesFor(code[5], true)
-	if li.CyclesPerIter != want {
-		t.Fatalf("CyclesPerIter = %d, want %d", li.CyclesPerIter, want)
+		rep := mustAnalyze(t, rawProg(t, c.name, c.code...))
+		if len(rep.Loops) != 1 || rep.Loops[0] != c.want {
+			t.Errorf("%s: loops = %+v, want [%+v]", c.name, rep.Loops, c.want)
+		}
+		fs := findKind(rep, KindLoopNoBoundary)
+		if c.want.Stores > 0 && (len(fs) != 1 || fs[0].PC != c.want.HeadPC) {
+			t.Errorf("%s: loop-no-boundary findings %+v, want one at the header pc %d", c.name, fs, c.want.HeadPC)
+		}
 	}
 }

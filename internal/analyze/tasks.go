@@ -80,40 +80,24 @@ type TaskTable struct {
 // decomposition always anchors on SysTaskEnd, the marker task runtimes
 // commit at.
 func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
-	if prog == nil || len(prog.Code) == 0 {
-		return nil, fmt.Errorf("analyze: empty program")
+	f, err := newFacts(prog, o)
+	if err != nil {
+		return nil, err
 	}
-	lay := memLayout{sramSize: uint32(defaultSRAMSize), framSize: uint32(defaultFRAMSize)}
-	if o.SRAMSize > 0 {
-		lay.sramSize = uint32(o.SRAMSize)
-	}
-	if o.FRAMSize > 0 {
-		lay.framSize = uint32(o.FRAMSize)
-	}
+	return f.tasks(prog.Name), nil
+}
 
-	g := buildCFG(prog.Code)
-	fr := runFlow(g)
-	acc := make([]*accessInfo, len(prog.Code))
-	for id, b := range g.blocks {
-		if !fr.reach[id] {
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			in := prog.Code[pc]
-			if in.Op.IsLoad() || in.Op.IsStore() {
-				acc[pc] = resolveAccess(pc, in, fr.stateAt[pc], lay)
-			}
-		}
-	}
-
+// tasks is Tasks over already computed program facts, which task-mode
+// WCEC shares.
+func (f *facts) tasks(name string) *TaskTable {
 	sysBounds := map[isa.Sys]bool{isa.SysTaskEnd: true}
 
 	// Fixed point: every store the WAR pass still flags becomes a
 	// boundary. Each round adds at least one PC or stops, so the loop
 	// is bounded by the instruction count.
 	pcBounds := make(map[int]bool)
-	for i := 0; i <= len(prog.Code); i++ {
-		res := runWAR(g, acc, sysBounds, pcBounds, false, lay)
+	for i := 0; i <= len(f.code); i++ {
+		res := runWAR(f.g, f.acc, sysBounds, pcBounds, false, f.lay)
 		grew := false
 		for _, h := range res.hazards {
 			if !pcBounds[h.PC] {
@@ -131,8 +115,8 @@ func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 	// when it collides with another kind — the runtime commits before
 	// that PC either way.
 	kindAt := map[int]string{0: TaskEntry}
-	for pc, in := range prog.Code {
-		if in.Op == isa.SYS && isa.Sys(in.Imm) == isa.SysTaskEnd && pc+1 < len(prog.Code) {
+	for pc, in := range f.code {
+		if in.Op == isa.SYS && isa.Sys(in.Imm) == isa.SysTaskEnd && pc+1 < len(f.code) {
 			if _, taken := kindAt[pc+1]; !taken {
 				kindAt[pc+1] = TaskSysEnd
 			}
@@ -144,7 +128,7 @@ func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 		}
 	}
 
-	t := &TaskTable{Prog: prog.Name, BufWords: 0}
+	t := &TaskTable{Prog: name, BufWords: 0}
 	for pc := range pcBounds {
 		t.Boundaries = append(t.Boundaries, pc)
 	}
@@ -156,10 +140,22 @@ func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 	}
 	sort.Ints(entries)
 	for _, pc := range entries {
-		if !fr.reach[g.blockOf[pc]] {
+		if !f.reached(pc) {
 			continue
 		}
-		reads, stores := taskFootprint(g, acc, pcBounds, pc, lay)
+		// The task is everything reachable from its entry up to the next
+		// boundary: a task-end marker, a halt or another task's entry.
+		reads, stores := newWordSet(), newWordSet()
+		for member := range f.g.region(pc, sysBounds, pcBounds) {
+			a := f.acc[member]
+			switch {
+			case a == nil:
+			case a.store:
+				a.addSpan(stores, f.lay)
+			default:
+				a.addSpan(reads, f.lay)
+			}
+		}
 		task := Task{
 			ID:        len(t.Tasks),
 			Entry:     pc,
@@ -182,59 +178,12 @@ func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 		}
 	}
 
-	for _, l := range analyzeLoops(g, sysBounds) {
+	for _, l := range analyzeLoops(f.g, sysBounds) {
 		if l.Simple && l.Stores > 0 && (t.TauStore == 0 || l.TauStore < t.TauStore) {
 			t.TauStore = l.TauStore
 		}
 	}
-	return t, nil
-}
-
-// taskFootprint collects the read and store word sets of the task
-// entered at entry: every instruction reachable from entry without
-// crossing a task boundary. A boundary PC other than the entry itself
-// starts the next task and is excluded; task-end markers and halts
-// close the task.
-func taskFootprint(g *cfg, acc []*accessInfo, pcBounds map[int]bool, entry int, lay memLayout) (reads, stores *wordSet) {
-	reads, stores = newWordSet(), newWordSet()
-	seen := map[int]bool{entry: true}
-	work := []int{entry}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		if pc != entry && pcBounds[pc] {
-			continue
-		}
-		if a := acc[pc]; a != nil {
-			if a.store {
-				a.addSpan(stores, lay)
-			} else {
-				a.addSpan(reads, lay)
-			}
-		}
-		in := g.code[pc]
-		if in.Op == isa.SYS {
-			if s := isa.Sys(in.Imm); s == isa.SysHalt || s == isa.SysTaskEnd {
-				continue
-			}
-		}
-		b := g.blocks[g.blockOf[pc]]
-		if pc+1 < b.End {
-			if !seen[pc+1] {
-				seen[pc+1] = true
-				work = append(work, pc+1)
-			}
-			continue
-		}
-		for _, s := range b.Succs {
-			spc := g.blocks[s].Start
-			if !seen[spc] {
-				seen[spc] = true
-				work = append(work, spc)
-			}
-		}
-	}
-	return reads, stores
+	return t
 }
 
 // BoundarySet returns the WAR-cut boundaries keyed by PC, the form the

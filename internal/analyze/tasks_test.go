@@ -38,26 +38,15 @@ func TestTasksCutAllHazards(t *testing.T) {
 				t.Fatalf("%s/%v: no tasks", name, seg)
 			}
 
-			g := buildCFG(prog.Code)
-			fr := runFlow(g)
-			lay := memLayout{sramSize: defaultSRAMSize, framSize: defaultFRAMSize}
-			acc := make([]*accessInfo, len(prog.Code))
-			for id, b := range g.blocks {
-				if !fr.reach[id] {
-					continue
-				}
-				for pc := b.Start; pc < b.End; pc++ {
-					in := prog.Code[pc]
-					if in.Op.IsLoad() || in.Op.IsStore() {
-						acc[pc] = resolveAccess(pc, in, fr.stateAt[pc], lay)
-					}
-				}
+			f, err := newFacts(prog, Options{})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, seg, err)
 			}
 			pcBounds := make(map[int]bool, len(tt.Boundaries))
 			for _, pc := range tt.Boundaries {
 				pcBounds[pc] = true
 			}
-			res := runWAR(g, acc, map[isa.Sys]bool{isa.SysTaskEnd: true}, pcBounds, false, lay)
+			res := runWAR(f.g, f.acc, map[isa.Sys]bool{isa.SysTaskEnd: true}, pcBounds, false, f.lay)
 			if len(res.hazards) != 0 {
 				t.Errorf("%s/%v: %d WAR hazards survive the task boundaries (first at pc %d)",
 					name, seg, len(res.hazards), res.hazards[0].PC)

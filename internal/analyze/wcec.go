@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,14 +113,7 @@ type WCECRegion struct {
 	BCEnergy    float64 // best-case joules (+Inf when BCUnbounded)
 
 	Verdict WCECVerdict
-
-	pcs []int // member PCs (nil on tables from ParseWCEC)
 }
-
-// Members returns the PCs the region can execute, sorted. It is nil on
-// parsed tables: membership is an analysis artifact, not part of the
-// serialized certificate.
-func (r *WCECRegion) Members() []int { return r.pcs }
 
 // WCECTable is the per-program certificate table.
 type WCECTable struct {
@@ -185,8 +179,9 @@ type WCECOptions struct {
 
 // WCEC runs the static forward-progress verifier over prog.
 func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
-	if prog == nil || len(prog.Code) == 0 {
-		return nil, fmt.Errorf("analyze: empty program")
+	f, err := newFacts(prog, o.Options)
+	if err != nil {
+		return nil, err
 	}
 	if !(o.BudgetJ > 0) {
 		return nil, fmt.Errorf("analyze: wcec: energy budget must be > 0, got %g", o.BudgetJ)
@@ -203,13 +198,12 @@ func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
 	}
 
 	w := &wcecCalc{
-		prog:   prog,
-		code:   prog.Code,
-		g:      buildCFG(prog.Code),
-		mode:   o.Mode,
-		budget: o.BudgetJ,
+		f:        f,
+		prog:     prog.Name,
+		mode:     o.Mode,
+		budget:   o.BudgetJ,
+		baseCuts: map[int]bool{},
 	}
-	w.fr = runFlow(w.g)
 	for c := 0; c < int(energy.NumClasses); c++ {
 		w.epc[c] = pm.EnergyPerCycle(energy.InstrClass(c))
 	}
@@ -220,20 +214,15 @@ func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
 		for _, s := range DefaultBoundaries() {
 			w.sysBounds[s] = true
 		}
-		w.baseCuts = map[int]bool{}
 		w.entries = append(w.entries, wcecEntry{0, TaskEntry})
-		for pc, in := range w.code {
-			if in.Op == isa.SYS && w.sysBounds[isa.Sys(in.Imm)] && pc+1 < len(w.code) {
+		for pc, in := range f.code {
+			if in.Op == isa.SYS && w.sysBounds[isa.Sys(in.Imm)] && pc+1 < len(f.code) {
 				w.entries = append(w.entries, wcecEntry{pc + 1, WCECChkpt})
 			}
 		}
 	case WCECTask:
-		tt, err := Tasks(prog, o.Options)
-		if err != nil {
-			return nil, fmt.Errorf("analyze: wcec: task decomposition: %w", err)
-		}
+		tt := f.tasks(prog.Name)
 		w.sysBounds = map[isa.Sys]bool{isa.SysTaskEnd: true}
-		w.baseCuts = map[int]bool{}
 		for _, pc := range tt.Boundaries {
 			w.baseCuts[pc] = true
 		}
@@ -244,8 +233,8 @@ func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
 		return nil, fmt.Errorf("analyze: wcec: unknown mode %q", o.Mode)
 	}
 
-	tbl := w.compute(nil)
-	tbl.Repair, tbl.RepairComplete = w.repair(tbl)
+	tbl, cut, ok := w.compute(nil)
+	tbl.Repair, tbl.RepairComplete = w.repair(tbl, cut, ok)
 	return tbl, nil
 }
 
@@ -256,10 +245,8 @@ type wcecEntry struct {
 }
 
 type wcecCalc struct {
-	prog      *asm.Program
-	code      []isa.Instr
-	g         *cfg
-	fr        *flowResult
+	f         *facts
+	prog      string
 	mode      WCECMode
 	budget    float64
 	sysBounds map[isa.Sys]bool
@@ -268,14 +255,19 @@ type wcecCalc struct {
 	epc       [energy.NumClasses]float64
 }
 
-// pcReachable reports whether the flow fixpoint reached pc's block.
-func (w *wcecCalc) pcReachable(pc int) bool {
-	return pc >= 0 && pc < len(w.code) && w.fr.reach[w.g.blockOf[pc]]
+// cost prices executing the instruction at pc with its terminator taken
+// or not.
+func (w *wcecCalc) cost(pc int, taken bool) wcost {
+	in := w.f.code[pc]
+	cyc := cpu.CyclesFor(in, taken)
+	return wcost{cyc: cyc, e: float64(cyc) * w.epc[cpu.ClassFor(in)]}
 }
 
 // compute runs the per-region analysis with the base boundaries plus
-// the extra commit-before cuts (the repair search's candidate set).
-func (w *wcecCalc) compute(extraCuts []int) *WCECTable {
+// the extra commit-before cuts (the repair search's candidate set). It
+// also returns the repair cut for the first region over budget; ok is
+// false when no region is over budget or no cut was found for it.
+func (w *wcecCalc) compute(extraCuts []int) (tbl *WCECTable, cut int, ok bool) {
 	cuts := make(map[int]bool, len(w.baseCuts)+len(extraCuts))
 	for pc := range w.baseCuts {
 		cuts[pc] = true
@@ -287,18 +279,19 @@ func (w *wcecCalc) compute(extraCuts []int) *WCECTable {
 	}
 
 	seen := map[int]bool{}
-	var regs []WCECRegion
+	tbl = &WCECTable{Prog: w.prog, Mode: w.mode, BudgetJ: w.budget}
+	overrun := false
 	sort.Slice(entries, func(i, j int) bool { return entries[i].pc < entries[j].pc })
 	for _, e := range entries {
-		if seen[e.pc] || !w.pcReachable(e.pc) {
+		if seen[e.pc] || !w.f.reached(e.pc) {
 			continue
 		}
 		seen[e.pc] = true
-		rg := w.buildRegion(e.pc, cuts)
-		r := WCECRegion{ID: len(regs), Entry: e.pc, Kind: e.kind, pcs: rg.memberPCs()}
+		rg := w.f.g.region(e.pc, w.sysBounds, cuts)
+		r := WCECRegion{ID: len(tbl.Regions), Entry: e.pc, Kind: e.kind}
 
-		bcCyc, okC := rg.shortest(func(cyc uint64, _ float64) float64 { return float64(cyc) })
-		bcE, okE := rg.shortest(func(_ uint64, en float64) float64 { return en })
+		bcCyc, okC := w.shortest(rg, e.pc, func(c wcost) float64 { return float64(c.cyc) })
+		bcE, okE := w.shortest(rg, e.pc, func(c wcost) float64 { return c.e })
 		if !okC || !okE {
 			r.BCUnbounded = true
 			r.BCEnergy = math.Inf(1)
@@ -307,7 +300,12 @@ func (w *wcecCalc) compute(extraCuts []int) *WCECTable {
 			r.BCEnergy = bcE
 		}
 
-		wc := w.worst(rg)
+		// Worst case: collapse every loop into a bounded (or ∞) summary
+		// node, then take the longest path over the resulting DAG.
+		g, adj := w.collapseGraph(rg)
+		nest := loopForest(adj, e.pc)
+		w.reduce(g, nest, e.pc)
+		wc := dagWorst(g, e.pc)
 		if wc.inf {
 			r.WCUnbounded = true
 			r.WCEnergy = math.Inf(1)
@@ -324,125 +322,32 @@ func (w *wcecCalc) compute(extraCuts []int) *WCECTable {
 		default:
 			r.Verdict = WCECUnknown
 		}
-		regs = append(regs, r)
+		if r.Verdict != WCECCertified && !overrun {
+			overrun = true
+			cut, ok = repairPoint(g, nest, e.pc)
+		}
+		tbl.Regions = append(tbl.Regions, r)
 	}
-	return &WCECTable{Prog: w.prog.Name, Mode: w.mode, BudgetJ: w.budget, Regions: regs}
+	return tbl, cut, ok
 }
 
-// ---------------------------------------------------------------------
-// Region graph: instruction-level, with edge costs.
-
-// rgEdge is an in-region control transfer: executing the source costs
-// cyc cycles / e joules and control arrives at to.
-type rgEdge struct {
-	to  int
-	cyc uint64
-	e   float64
-}
-
-// rgTerm prices a region-ending step from a node: executing a boundary
-// SYS / SysHalt (its own cost), or an edge into a commit-before cut
-// (the edge's cost; the cut target is not executed).
-type rgTerm struct {
-	cyc uint64
-	e   float64
-}
-
-type rgNode struct {
-	succ []rgEdge
-	term []rgTerm
-}
-
-type regionGraph struct {
-	entry int
-	nodes map[int]*rgNode
-}
-
-func (rg *regionGraph) memberPCs() []int {
-	out := make([]int, 0, len(rg.nodes))
-	for pc := range rg.nodes {
-		out = append(out, pc)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// buildRegion explores the instructions reachable from entry without
-// crossing a commit. Edges whose target lies outside the program are
-// dropped: running off the code is a fault, not a commit, so such paths
-// neither certify nor count as a best case.
-func (w *wcecCalc) buildRegion(entry int, cuts map[int]bool) *regionGraph {
-	n := len(w.code)
-	rg := &regionGraph{entry: entry, nodes: map[int]*rgNode{}}
-	stack := []int{entry}
-	for len(stack) > 0 {
-		pc := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if rg.nodes[pc] != nil {
-			continue
-		}
-		node := &rgNode{}
-		rg.nodes[pc] = node
-		in := w.code[pc]
-		cost := func(taken bool) (uint64, float64) {
-			cyc := cpu.CyclesFor(in, taken)
-			return cyc, float64(cyc) * w.epc[cpu.ClassFor(in)]
-		}
-		if in.Op == isa.SYS {
-			ss := isa.Sys(in.Imm)
-			if ss == isa.SysHalt || w.sysBounds[ss] {
-				cyc, e := cost(true)
-				node.term = append(node.term, rgTerm{cyc, e})
-				continue // commit after this instruction: the region ends here
-			}
-		}
-		addSucc := func(t int, taken bool) {
-			if t < 0 || t >= n {
-				return
-			}
-			cyc, e := cost(taken)
-			if cuts[t] {
-				// Commit happens before t executes: region over.
-				node.term = append(node.term, rgTerm{cyc, e})
-				return
-			}
-			node.succ = append(node.succ, rgEdge{t, cyc, e})
-			stack = append(stack, t)
-		}
-		switch {
-		case in.Op.IsBranch():
-			addSucc(pc+1, false)
-			addSucc(pc+int(in.Imm), true)
-		case in.Op == isa.JAL:
-			addSucc(int(in.Imm), true)
-		case in.Op == isa.JALR:
-			for _, rs := range w.g.returnSites {
-				addSucc(rs, true)
-			}
-		default:
-			addSucc(pc+1, true)
-		}
-	}
-	return rg
-}
-
-// shortest computes the minimum sel-weight from the entry to any commit
-// by fixpoint relaxation (weights are non-negative, so the minimum over
-// walks equals the shortest path and loop bounds are irrelevant).
-// ok=false means no commit is reachable.
-func (rg *regionGraph) shortest(sel func(cyc uint64, e float64) float64) (float64, bool) {
-	dist := map[int]float64{rg.entry: 0}
-	for range rg.nodes {
+// shortest computes the minimum sel-weight from entry to any commit of
+// the region by fixpoint relaxation (weights are non-negative, so the
+// minimum over walks equals the shortest path and loop bounds are
+// irrelevant). ok=false means no commit is reachable.
+func (w *wcecCalc) shortest(rg map[int]*regionNode, entry int, sel func(wcost) float64) (float64, bool) {
+	dist := map[int]float64{entry: 0}
+	for range rg {
 		changed := false
-		for pc, n := range rg.nodes {
+		for pc, n := range rg {
 			d, ok := dist[pc]
 			if !ok {
 				continue
 			}
-			for _, e := range n.succ {
-				nd := d + sel(e.cyc, e.e)
-				if cur, ok := dist[e.to]; !ok || nd < cur {
-					dist[e.to] = nd
+			for _, s := range n.succ {
+				nd := d + sel(w.cost(pc, s.taken))
+				if cur, ok := dist[s.to]; !ok || nd < cur {
+					dist[s.to] = nd
 					changed = true
 				}
 			}
@@ -452,13 +357,13 @@ func (rg *regionGraph) shortest(sel func(cyc uint64, e float64) float64) (float6
 		}
 	}
 	best, ok := 0.0, false
-	for pc, n := range rg.nodes {
+	for pc, n := range rg {
 		d, reached := dist[pc]
 		if !reached {
 			continue
 		}
-		for _, t := range n.term {
-			v := d + sel(t.cyc, t.e)
+		for _, taken := range n.ends {
+			v := d + sel(w.cost(pc, taken))
 			if !ok || v < best {
 				best, ok = v, true
 			}
@@ -514,14 +419,7 @@ func maxW(a, b wcost) wcost {
 	if a.inf || b.inf {
 		return infW
 	}
-	return wcost{cyc: maxU64(a.cyc, b.cyc), e: math.Max(a.e, b.e)}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return wcost{cyc: max(a.cyc, b.cyc), e: math.Max(a.e, b.e)}
 }
 
 // cNode is a node of the mutable collapse graph: a single instruction,
@@ -538,180 +436,49 @@ type cEdge struct {
 	c  wcost
 }
 
-// worst computes the worst-case cost from the region entry to a commit:
-// collapse every loop into a bounded (or ∞) summary node, then take the
-// longest path over the resulting DAG. A node from which no commit is
-// reachable contributes ∞ — a traversal reaching it never commits.
-func (w *wcecCalc) worst(rg *regionGraph) wcost {
-	g := map[int]*cNode{}
-	for pc, n := range rg.nodes {
+// collapseGraph prices a region into the mutable collapse graph, each
+// node's commits merged into their worst, and returns the graph's
+// adjacency for the loop forest.
+func (w *wcecCalc) collapseGraph(rg map[int]*regionNode) (map[int]*cNode, map[int][]int) {
+	g := make(map[int]*cNode, len(rg))
+	adj := make(map[int][]int, len(rg))
+	for pc, n := range rg {
 		cn := &cNode{}
-		for _, e := range n.succ {
-			cn.succ = append(cn.succ, cEdge{e.to, wcost{cyc: e.cyc, e: e.e}})
+		adj[pc] = make([]int, len(n.succ))
+		for i, s := range n.succ {
+			cn.succ = append(cn.succ, cEdge{s.to, w.cost(pc, s.taken)})
+			adj[pc][i] = s.to
 		}
-		for _, t := range n.term {
-			tc := wcost{cyc: t.cyc, e: t.e}
-			if cn.term == nil {
-				cn.term = &tc
-			} else {
-				m := maxW(*cn.term, tc)
-				cn.term = &m
+		for _, taken := range n.ends {
+			tc := w.cost(pc, taken)
+			if cn.term != nil {
+				tc = maxW(*cn.term, tc)
 			}
+			cn.term = &tc
 		}
 		g[pc] = cn
 	}
-	allowed := map[int]bool{}
-	for pc := range g {
-		allowed[pc] = true
-	}
-	w.reduce(g, allowed, rg.entry)
-	return w.dagWorst(g, rg.entry)
+	return g, adj
 }
 
-// reduce collapses every cycle inside the allowed set, innermost first.
-func (w *wcecCalc) reduce(g map[int]*cNode, allowed map[int]bool, entry int) {
-	for _, comp := range tarjanNodes(g, allowed) {
-		if !cyclicComp(g, comp) {
-			continue
-		}
-		compSet := map[int]bool{}
-		for _, id := range comp {
-			compSet[id] = true
-		}
-		h, ok := header(g, compSet, entry)
-		if !ok {
-			w.collapseIrreducible(g, compSet, entry)
-			continue
-		}
-		inner := map[int]bool{}
-		for id := range compSet {
-			if id != h {
-				inner[id] = true
-			}
-		}
-		w.reduce(g, inner, entry)
-		// Inner collapse may have deleted nodes; refresh membership.
+// reduce collapses every loop of the forest into one node, innermost
+// first. Collapsing a nested loop deletes all its members but the
+// header, so each loop is summarized over its surviving members.
+func (w *wcecCalc) reduce(g map[int]*cNode, nest []*loop, entry int) {
+	for _, l := range nest {
+		w.reduce(g, l.inner, entry)
 		live := map[int]bool{}
-		for id := range compSet {
+		for _, id := range l.members {
 			if g[id] != nil {
 				live[id] = true
 			}
 		}
-		w.summarizeLoop(g, live, h)
-	}
-}
-
-// tarjanNodes computes SCCs of the collapse graph restricted to allowed.
-func tarjanNodes(g map[int]*cNode, allowed map[int]bool) [][]int {
-	ids := make([]int, 0, len(allowed))
-	for id := range allowed {
-		if g[id] != nil {
-			ids = append(ids, id)
+		if l.irreducible {
+			w.collapseIrreducible(g, live, entry)
+		} else {
+			w.summarizeLoop(g, live, l.head)
 		}
 	}
-	sort.Ints(ids)
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
-	var stack []int
-	var out [][]int
-	next := 0
-
-	type frame struct {
-		v, succIdx int
-	}
-	var dfs []frame
-	for _, root := range ids {
-		if _, done := index[root]; done {
-			continue
-		}
-		dfs = append(dfs[:0], frame{root, 0})
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(dfs) > 0 {
-			f := &dfs[len(dfs)-1]
-			node := g[f.v]
-			if f.succIdx < len(node.succ) {
-				t := node.succ[f.succIdx].to
-				f.succIdx++
-				if !allowed[t] || g[t] == nil {
-					continue
-				}
-				if _, done := index[t]; !done {
-					index[t], low[t] = next, next
-					next++
-					stack = append(stack, t)
-					onStack[t] = true
-					dfs = append(dfs, frame{t, 0})
-				} else if onStack[t] {
-					low[f.v] = min64i(low[f.v], index[t])
-				}
-				continue
-			}
-			v := f.v
-			dfs = dfs[:len(dfs)-1]
-			if len(dfs) > 0 {
-				p := dfs[len(dfs)-1].v
-				low[p] = min64i(low[p], low[v])
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					x := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[x] = false
-					comp = append(comp, x)
-					if x == v {
-						break
-					}
-				}
-				sort.Ints(comp)
-				out = append(out, comp)
-			}
-		}
-	}
-	return out
-}
-
-func cyclicComp(g map[int]*cNode, comp []int) bool {
-	if len(comp) > 1 {
-		return true
-	}
-	for _, e := range g[comp[0]].succ {
-		if e.to == comp[0] {
-			return true
-		}
-	}
-	return false
-}
-
-// header finds the unique loop entry: the one node of the component
-// receiving edges from outside it (the region entry counts as an
-// outside edge). Multiple entries mean an irreducible loop.
-func header(g map[int]*cNode, compSet map[int]bool, entry int) (int, bool) {
-	heads := map[int]bool{}
-	if compSet[entry] {
-		heads[entry] = true
-	}
-	for id, n := range g {
-		if compSet[id] {
-			continue
-		}
-		for _, e := range n.succ {
-			if compSet[e.to] {
-				heads[e.to] = true
-			}
-		}
-	}
-	if len(heads) != 1 {
-		return 0, false
-	}
-	for h := range heads {
-		return h, true
-	}
-	return 0, false
 }
 
 // collapseIrreducible folds a multiple-entry component into one node
@@ -940,14 +707,14 @@ func (w *wcecCalc) tripBound(g map[int]*cNode, compSet map[int]bool, h int) (uin
 		if g[u].collapsed {
 			continue // a collapsed inner loop is not a single update site
 		}
-		in := w.code[u]
+		in := w.f.code[u]
 		if in.Op != isa.ADDI || in.Rd != in.Rs1 || in.Rd == isa.R0 || in.Imm == 0 {
 			continue
 		}
 		r := in.Rd
 		unique := true
 		for _, pc := range allPCs {
-			if pc != u && writesReg(w.code[pc], r) {
+			if pc != u && writesReg(w.f.code[pc], r) {
 				unique = false
 				break
 			}
@@ -958,10 +725,10 @@ func (w *wcecCalc) tripBound(g map[int]*cNode, compSet map[int]bool, h int) (uin
 		if u != h && cycleAvoids(g, compSet, h, u, backs) {
 			continue
 		}
-		if !w.pcReachable(u) {
+		if !w.f.reached(u) {
 			continue
 		}
-		iv := w.fr.stateAt[u].r[r]
+		iv := w.f.fr.stateAt[u].r[r]
 		if iv.lo <= negInf/2 || iv.hi >= posInf/2 || iv.hi < iv.lo {
 			continue
 		}
@@ -1032,7 +799,7 @@ func writesReg(in isa.Instr, r isa.Reg) bool {
 // dagWorst takes the longest path over the reduced (acyclic) graph:
 // W(n) = max(term(n), max over edges of cost + W(to)); a node with no
 // continuation and no terminal never commits, which is ∞.
-func (w *wcecCalc) dagWorst(g map[int]*cNode, entry int) wcost {
+func dagWorst(g map[int]*cNode, entry int) wcost {
 	memo := map[int]*wcost{}
 	var visit func(id int) wcost
 	var stack []int
@@ -1081,83 +848,50 @@ func (w *wcecCalc) dagWorst(g map[int]*cNode, entry int) wcost {
 const maxRepairCuts = 64
 
 // repair searches for additional commit-before boundaries that make
-// every region's WCEC fit the budget. The cut point for an over-budget
-// region is the innermost loop header (committing per iteration), or —
-// for loop-free overruns — the midpoint of the worst path by cost. The
-// set is greedy-minimal: each cut is added only because some region
-// still overruns without it.
-func (w *wcecCalc) repair(base *WCECTable) ([]int, bool) {
-	feasible := func(t *WCECTable) *WCECRegion {
-		for i := range t.Regions {
-			r := &t.Regions[i]
-			if r.WCUnbounded || r.WCEnergy > w.budget {
-				return r
-			}
-		}
-		return nil
-	}
-	if feasible(base) == nil {
-		return nil, true
-	}
+// every region's WCEC fit the budget, starting from the base table and
+// the cut compute proposed for its first overrun. The cut point for an
+// over-budget region is the innermost loop header (committing per
+// iteration), or — for loop-free overruns — the midpoint of the worst
+// path by cost. The set is greedy-minimal: each cut is added only
+// because some region still overruns without it.
+func (w *wcecCalc) repair(tbl *WCECTable, cut int, ok bool) ([]int, bool) {
 	var cuts []int
-	cutSet := map[int]bool{}
-	tbl := base
-	for len(cuts) < maxRepairCuts {
-		bad := feasible(tbl)
-		if bad == nil {
+	for {
+		if c, _, _ := tbl.VerdictCounts(); c == len(tbl.Regions) {
 			return cuts, true
 		}
-		pc, ok := w.repairPoint(bad.Entry, cuts)
-		if !ok || cutSet[pc] {
+		if !ok || len(cuts) == maxRepairCuts || slices.Contains(cuts, cut) {
 			return cuts, false
 		}
-		cutSet[pc] = true
-		cuts = append(cuts, pc)
+		cuts = append(cuts, cut)
 		sort.Ints(cuts)
-		tbl = w.compute(cuts)
+		tbl, cut, ok = w.compute(cuts)
 	}
-	return cuts, feasible(tbl) == nil
 }
 
-// repairPoint picks the boundary insertion PC for one offending region.
-func (w *wcecCalc) repairPoint(entry int, extraCuts []int) (int, bool) {
-	cuts := make(map[int]bool, len(w.baseCuts)+len(extraCuts))
-	for pc := range w.baseCuts {
-		cuts[pc] = true
-	}
-	for _, pc := range extraCuts {
-		cuts[pc] = true
-	}
-	rg := w.buildRegion(entry, cuts)
-
+// repairPoint picks the boundary insertion PC for one offending region
+// from its loop forest and its reduced collapse graph.
+func repairPoint(g map[int]*cNode, nest []*loop, entry int) (int, bool) {
 	// Prefer the innermost loop header: a boundary there commits every
 	// iteration, the classic fix for an unbounded or over-long loop.
-	g := map[int]*cNode{}
-	for pc, n := range rg.nodes {
-		cn := &cNode{}
-		for _, e := range n.succ {
-			cn.succ = append(cn.succ, cEdge{e.to, wcost{cyc: e.cyc, e: e.e}})
+	// Descend the first loop's first nested loops.
+	if len(nest) > 0 {
+		l := nest[0]
+		for len(l.inner) > 0 {
+			l = l.inner[0]
 		}
-		g[pc] = cn
-	}
-	allowed := map[int]bool{}
-	for pc := range g {
-		allowed[pc] = true
-	}
-	if h, ok := innermostHeader(g, allowed, rg.entry); ok {
-		return h, true
+		return l.head, true
 	}
 
 	// Loop-free: cut before the PC where the worst path crosses half
 	// its total cost.
-	w.reduce(g, allowed, rg.entry)
-	total := w.dagWorst(g, rg.entry)
+	total := dagWorst(g, entry)
 	if total.inf || total.cyc == 0 {
 		return 0, false
 	}
 	half := total.cyc / 2
 	acc := uint64(0)
-	id := rg.entry
+	id := entry
 	for acc < half {
 		n := g[id]
 		if n == nil || len(n.succ) == 0 {
@@ -1165,7 +899,7 @@ func (w *wcecCalc) repairPoint(entry int, extraCuts []int) (int, bool) {
 		}
 		bestEdge, bestC := -1, infW
 		for i, e := range n.succ {
-			c := addW(e.c, w.dagWorst(g, e.to))
+			c := addW(e.c, dagWorst(g, e.to))
 			if bestEdge < 0 || (!c.inf && (bestC.inf || c.cyc > bestC.cyc)) {
 				bestEdge, bestC = i, c
 			}
@@ -1174,39 +908,10 @@ func (w *wcecCalc) repairPoint(entry int, extraCuts []int) (int, bool) {
 		acc += e.c.cyc
 		id = e.to
 	}
-	if id == rg.entry {
+	if id == entry {
 		return 0, false
 	}
 	return id, true
-}
-
-// innermostHeader descends the loop nest of the region and returns the
-// deepest single-header loop's header.
-func innermostHeader(g map[int]*cNode, allowed map[int]bool, entry int) (int, bool) {
-	for _, comp := range tarjanNodes(g, allowed) {
-		if !cyclicComp(g, comp) {
-			continue
-		}
-		compSet := map[int]bool{}
-		for _, id := range comp {
-			compSet[id] = true
-		}
-		h, ok := header(g, compSet, entry)
-		if !ok {
-			return comp[0], true // irreducible: any cut point helps
-		}
-		inner := map[int]bool{}
-		for id := range compSet {
-			if id != h {
-				inner[id] = true
-			}
-		}
-		if ih, ok := innermostHeader(g, inner, entry); ok {
-			return ih, true
-		}
-		return h, true
-	}
-	return 0, false
 }
 
 // ---------------------------------------------------------------------
@@ -1303,8 +1008,7 @@ func (t *WCECTable) JSON() ([]byte, error) {
 
 // ParseWCEC parses the String serialization back into a table. Blank
 // lines and #-comments are ignored; the region count is cross-checked
-// against the header. Parsed tables have no Members (membership is not
-// serialized).
+// against the header.
 func ParseWCEC(s string) (*WCECTable, error) {
 	t := &WCECTable{}
 	sawHeader := false

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ehmodel/internal/cpu"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
 )
@@ -32,6 +33,32 @@ func countedLoop(t *testing.T) []isa.Instr {
 		{Op: isa.SW, Rd: isa.R2, Rs1: isa.R0, Imm: 0},
 		{Op: isa.ADDI, Rd: isa.R2, Rs1: isa.R2, Imm: -1},
 		{Op: isa.BNE, Rd: isa.R2, Rs1: isa.R0, Imm: -2},
+		halt(),
+	}
+}
+
+// irreducibleLoop is a loop entered at two blocks, with a counted
+// self-loop inside it:
+//
+//	0: SYS  sense r1
+//	1: ADDI r3,r0,3
+//	2: BEQ  r1,r0,+3    -> 5, the second entry
+//	3: ADDI r1,r1,-1    <- first entry, the loop's lowest pc
+//	4: ADDI r3,r0,3
+//	5: ADDI r3,r3,-1    <- self-loop
+//	6: BNE  r3,r0,-1    -> 5
+//	7: BNE  r1,r0,-4    -> 3
+//	8: halt
+func irreducibleLoop() []isa.Instr {
+	return []isa.Instr{
+		{Op: isa.SYS, Rd: isa.R1, Imm: int32(isa.SysSense)},
+		{Op: isa.ADDI, Rd: isa.R3, Rs1: isa.R0, Imm: 3},
+		{Op: isa.BEQ, Rd: isa.R1, Rs1: isa.R0, Imm: 3},
+		{Op: isa.ADDI, Rd: isa.R1, Rs1: isa.R1, Imm: -1},
+		{Op: isa.ADDI, Rd: isa.R3, Rs1: isa.R0, Imm: 3},
+		{Op: isa.ADDI, Rd: isa.R3, Rs1: isa.R3, Imm: -1},
+		{Op: isa.BNE, Rd: isa.R3, Rs1: isa.R0, Imm: -1},
+		{Op: isa.BNE, Rd: isa.R1, Rs1: isa.R0, Imm: -4},
 		halt(),
 	}
 }
@@ -91,6 +118,21 @@ func TestWCECVerdictThresholds(t *testing.T) {
 	// A cut at the loop header makes every region a single iteration.
 	if !tbl.RepairComplete || len(tbl.Repair) != 1 || tbl.Repair[0] != 1 {
 		t.Fatalf("repair = %v complete=%v, want [1] complete", tbl.Repair, tbl.RepairComplete)
+	}
+
+	// A loop-free overrun is cut where its worst path crosses half its
+	// cost: 40 ADDIs and a halt take 41 cycles, split 20 + 21.
+	straight := make([]isa.Instr, 41)
+	for i := range 40 {
+		straight[i] = isa.Instr{Op: isa.ADDI, Rd: isa.R1, Rs1: isa.R1, Imm: 1}
+	}
+	straight[40] = halt()
+	tbl, err = WCEC(rawProg(t, "straight", straight...), wcecOpts(30))
+	if err != nil {
+		t.Fatalf("WCEC: %v", err)
+	}
+	if !tbl.RepairComplete || len(tbl.Repair) != 1 || tbl.Repair[0] != 20 {
+		t.Fatalf("loop-free repair = %v complete=%v, want [20] complete", tbl.Repair, tbl.RepairComplete)
 	}
 
 	// Budget below even the cheapest commit: livelock.
@@ -166,6 +208,19 @@ func TestWCECDataDependentTrips(t *testing.T) {
 	if r.Verdict != WCECUnknown {
 		t.Fatalf("verdict %s, want unknown", r.Verdict)
 	}
+
+	// An irreducible loop has no header to bound trips at: it is
+	// unbounded too, and repair first cuts at its lowest pc.
+	tbl, err = WCEC(rawProg(t, "irreducible", irreducibleLoop()...), wcecOpts(1000))
+	if err != nil {
+		t.Fatalf("WCEC: %v", err)
+	}
+	if r := tbl.Regions[0]; !r.WCUnbounded {
+		t.Fatalf("irreducible loop must be unbounded, got WC=%d", r.WCCycles)
+	}
+	if len(tbl.Repair) == 0 || tbl.Repair[0] != 3 {
+		t.Fatalf("irreducible repair = %v, want a first cut at pc 3", tbl.Repair)
+	}
 }
 
 func TestWCECCheckpointSiteSplitsRegions(t *testing.T) {
@@ -203,6 +258,28 @@ func TestWCECCheckpointSiteSplitsRegions(t *testing.T) {
 		if r.Verdict != WCECCertified {
 			t.Fatalf("region %d verdict %s, want certified", r.ID, r.Verdict)
 		}
+	}
+
+	// A region that opens inside a loop: the region entry heads the
+	// loop, although a lower pc (the JAL at 2) belongs to it too.
+	code := []isa.Instr{
+		{Op: isa.ADDI, Rd: isa.R1, Rs1: isa.R0, Imm: 3},  // 0
+		{Op: isa.JAL, Rd: isa.R0, Imm: 4},                // 1 -> 4
+		{Op: isa.JAL, Rd: isa.R0, Imm: 4},                // 2 -> 4
+		sysIn(isa.SysChkpt),                              // 3
+		{Op: isa.ADDI, Rd: isa.R1, Rs1: isa.R1, Imm: -1}, // 4 region entry
+		{Op: isa.BNE, Rd: isa.R1, Rs1: isa.R0, Imm: -3},  // 5 -> 2
+		halt(), // 6
+	}
+	tbl, err = WCEC(rawProg(t, "chkpt-in-loop", code...), wcecOpts(1000))
+	if err != nil {
+		t.Fatalf("WCEC: %v", err)
+	}
+	// Three trips around 4 → 5 → 2, then the exit suffix and halt.
+	cycle := cpu.CyclesFor(code[4], false) + cpu.CyclesFor(code[5], true) + cpu.CyclesFor(code[2], true)
+	want := 3*cycle + cpu.CyclesFor(code[4], false) + cpu.CyclesFor(code[5], false) + cpu.CyclesFor(code[6], false)
+	if r := tbl.RegionAt(4); r == nil || r.WCUnbounded || r.WCCycles != want {
+		t.Fatalf("region at 4 = %+v, want WC %d", r, want)
 	}
 }
 

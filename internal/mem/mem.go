@@ -202,12 +202,6 @@ func (s *System) RestoreSRAMPrefix(snap []byte) error {
 	return nil
 }
 
-// SnapshotFRAM copies nonvolatile memory; tests use it to compare
-// committed state across runs.
-func (s *System) SnapshotFRAM() []byte {
-	return append([]byte(nil), s.fram...)
-}
-
 // WriteFRAMImage installs an initial data image at the start of FRAM;
 // loaders use it to place nonvolatile program data.
 func (s *System) WriteFRAMImage(img []byte) error {
