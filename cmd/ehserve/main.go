@@ -19,11 +19,13 @@
 // illustrative configuration.
 //
 // Figure responses are memoized twice over: identical in-flight
-// requests collapse onto one generation (singleflight), the rendered
-// response bytes are cached (the X-EH-Cache header reports hit, miss or
-// coalesced), and underneath, every simulation cell goes through the
-// same content-addressed result store the ehfigs -cache flag uses — so
-// with -cache disk, a restarted server still answers warm.
+// requests share one generation (a sweep.Flight: a client that leaves
+// gets a 504 and never fails the others), the rendered bytes of a
+// failure-free response are cached (X-EH-Cache reports hit, miss or
+// coalesced; any figure failure is an uncached 500), and underneath,
+// every simulation cell goes through the same content-addressed result
+// store the ehfigs -cache flag uses — so with -cache disk, a restarted
+// server still answers warm.
 //
 // Every request is traced: the X-EH-Trace response header names a span
 // tree (request parse, cache lookup, singleflight wait, each simulation

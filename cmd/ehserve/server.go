@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -27,16 +29,16 @@ import (
 const cacheHeader = "X-EH-Cache"
 
 // server answers figure/sweep/model queries. Figure responses are the
-// expensive ones; they go through a request-keyed singleflight plus a
-// response byte cache, and the simulations underneath go through the
-// shared sweep executor's content-addressed store.
+// expensive ones; they go through a response byte cache and a
+// request-keyed sweep.Flight, and the simulations underneath go through
+// the shared sweep executor's content-addressed store.
 type server struct {
 	exec    *sweep.Executor
 	run     runner.Options
 	timeout time.Duration
 
 	// generate is experiments.GenerateFigures, injectable so tests can
-	// count and stall generations to observe the singleflight.
+	// count and stall generations to observe the flight.
 	generate func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure)
 
 	// traces retains the last N request traces for /v1/trace/{id}; nil
@@ -47,10 +49,13 @@ type server struct {
 	// series is the sampled /metrics delta ring behind /v1/metrics/series.
 	series *obsv.Series
 
+	// flights collapses identical in-flight figure requests onto one
+	// generation.
+	flights sweep.Flight[string, figureResult]
+
 	mu      sync.Mutex
 	metrics obsv.Metrics
 	resp    map[string][]byte
-	flights map[string]*respFlight
 
 	// Sampler state: the previous snapshot each interval's deltas are
 	// computed against. Guarded by smu (not mu: sampling must not
@@ -63,15 +68,6 @@ type server struct {
 	lastAt     time.Time
 }
 
-// respFlight is one in-progress figure generation; followers for the
-// same request key wait on done and share the rendered bytes.
-type respFlight struct {
-	done   chan struct{}
-	body   []byte
-	status int
-	err    error
-}
-
 func newServer(exec *sweep.Executor, run runner.Options, timeout time.Duration) *server {
 	return &server{
 		exec:     exec,
@@ -82,7 +78,6 @@ func newServer(exec *sweep.Executor, run runner.Options, timeout time.Duration) 
 		hub:      newEventHub(),
 		series:   obsv.NewSeries(0),
 		resp:     map[string][]byte{},
-		flights:  map[string]*respFlight{},
 	}
 }
 
@@ -405,36 +400,46 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 
 	lookupStart := time.Now()
 	s.mu.Lock()
-	if body, ok := s.resp[key]; ok {
-		s.mu.Unlock()
-		obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "hit"})
-		s.serveFigure(ctx, w, body, "hit", wantProv, pl)
-		return
-	}
-	if fl, ok := s.flights[key]; ok {
-		// Coalesce onto the in-flight generation.
-		s.mu.Unlock()
-		obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "inflight"})
-		waitStart := time.Now()
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			http.Error(w, ctx.Err().Error(), http.StatusGatewayTimeout)
-			return
-		}
-		obsv.AddSpan(ctx, "singleflight.wait", waitStart, time.Now())
-		if fl.err != nil {
-			http.Error(w, fl.err.Error(), fl.status)
-			return
-		}
-		s.serveFigure(ctx, w, fl.body, "coalesced", wantProv, pl)
-		return
-	}
-	fl := &respFlight{done: make(chan struct{})}
-	s.flights[key] = fl
+	body, hit := s.resp[key]
 	s.mu.Unlock()
+	if hit {
+		obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "hit"})
+		s.serveFigure(ctx, w, http.StatusOK, body, "hit", wantProv, pl)
+		return
+	}
 	obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "miss"})
 
+	waitStart := time.Now()
+	res, shared, err := s.flights.Do(ctx, key, func(ctx context.Context) (figureResult, error) {
+		return s.generateFigure(ctx, key, id, quick)
+	})
+	if err != nil {
+		status := http.StatusInternalServerError
+		if ctx.Err() != nil {
+			status = http.StatusGatewayTimeout
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	how := "miss"
+	if shared {
+		how = "coalesced"
+		obsv.AddSpan(ctx, "singleflight.wait", waitStart, time.Now())
+	}
+	s.serveFigure(ctx, w, res.status, res.body, how, wantProv, pl)
+}
+
+// figureResult is one generation's rendered response and its status.
+type figureResult struct {
+	body   []byte
+	status int
+}
+
+// generateFigure generates and renders one figure response under the
+// flight's context. One predicate decides the status and the caching:
+// a failure-free response is a 200 and cached; any failure makes it a
+// 500 (partial figures plus failures) that is never replayed as truth.
+func (s *server) generateFigure(ctx context.Context, key, id string, quick bool) (figureResult, error) {
 	genCtx, gsp := obsv.StartSpan(ctx, "generate")
 	gsp.SetAttr("figure", id)
 	figs, failures := s.generate(genCtx, id, quick, s.run)
@@ -446,27 +451,16 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.MarshalIndent(&resp, "", "  ")
 	obsv.AddSpan(ctx, "render", renderStart, time.Now())
-
-	s.mu.Lock()
-	delete(s.flights, key)
 	if err != nil {
-		fl.err, fl.status = err, http.StatusInternalServerError
-	} else {
-		fl.body = body
-		// Cache only fully successful responses: a sweep clipped by a
-		// deadline or a canceled client must not be replayed as truth.
-		if len(failures) == 0 {
-			s.resp[key] = body
-		}
+		return figureResult{}, err
 	}
+	if len(failures) > 0 {
+		return figureResult{body: body, status: http.StatusInternalServerError}, nil
+	}
+	s.mu.Lock()
+	s.resp[key] = body
 	s.mu.Unlock()
-	close(fl.done)
-
-	if fl.err != nil {
-		http.Error(w, fl.err.Error(), fl.status)
-		return
-	}
-	s.serveFigure(ctx, w, body, "miss", wantProv, pl)
+	return figureResult{body: body, status: http.StatusOK}, nil
 }
 
 // provEnvelope is the ?provenance=1 response shape: the figure payload
@@ -490,42 +484,36 @@ type provReport struct {
 	Dropped       uint64 `json:"dropped,omitempty"`
 }
 
-// serveFigure writes the rendered figure, wrapped in a provenance
-// envelope when asked. The envelope is assembled per-request around the
-// cached bytes, so the byte cache (and the figures it replays) stays
-// identical whether or not anyone asks for provenance.
-func (s *server) serveFigure(ctx context.Context, w http.ResponseWriter, body []byte, how string, wantProv bool, pl *sweep.ProvLog) {
-	if !wantProv {
-		serveFigureBytes(w, body, how)
-		return
-	}
-	env := provEnvelope{
-		Figure:     json.RawMessage(body),
-		Provenance: provReport{Cache: how, Cells: []sweep.CellProv{}},
-	}
-	if tr := obsv.TraceFrom(ctx); tr != nil {
-		env.Provenance.Trace = tr.ID.String()
-	}
-	if pl != nil {
-		if cells := pl.Cells(); len(cells) > 0 {
-			env.Provenance.Cells = cells
+// serveFigure writes the rendered figure with its status, wrapped in a
+// provenance envelope when asked. The envelope is assembled per-request
+// around the cached bytes, so the byte cache (and the figures it
+// replays) stays identical whether or not anyone asks for provenance.
+func (s *server) serveFigure(ctx context.Context, w http.ResponseWriter, status int, body []byte, how string, wantProv bool, pl *sweep.ProvLog) {
+	if wantProv {
+		env := provEnvelope{
+			Figure:     json.RawMessage(body),
+			Provenance: provReport{Cache: how, Cells: []sweep.CellProv{}},
 		}
-		env.Provenance.ComputedCells = pl.ComputedCells()
-		env.Provenance.Dropped = pl.Dropped()
-	}
-	out, err := json.MarshalIndent(&env, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		if tr := obsv.TraceFrom(ctx); tr != nil {
+			env.Provenance.Trace = tr.ID.String()
+		}
+		if pl != nil {
+			if cells := pl.Cells(); len(cells) > 0 {
+				env.Provenance.Cells = cells
+			}
+			env.Provenance.ComputedCells = pl.ComputedCells()
+			env.Provenance.Dropped = pl.Dropped()
+		}
+		out, err := json.MarshalIndent(&env, "", "  ")
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		body = out
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(cacheHeader, how)
-	w.Write(out) //nolint:errcheck // client gone
-}
-
-func serveFigureBytes(w http.ResponseWriter, body []byte, how string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(cacheHeader, how)
+	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // client gone
 }
 
@@ -555,8 +543,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hi, err := floatParam(q, "hi", 1000)
-	if err == nil && hi < lo {
-		err = fmt.Errorf("hi must be ≥ lo")
+	if err == nil && hi <= lo {
+		err = fmt.Errorf("hi must be > lo")
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -643,13 +631,9 @@ func paramsFromQuery(q url.Values) (core.Params, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		v := q.Get(name)
-		if v == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := floatParam(q, name, *fields[name])
 		if err != nil {
-			return pr, fmt.Errorf("bad %s: %v", name, err)
+			return pr, err
 		}
 		*fields[name] = f
 	}
@@ -659,6 +643,7 @@ func paramsFromQuery(q url.Values) (core.Params, error) {
 	return pr, nil
 }
 
+// floatParam parses a finite float query parameter, def when absent.
 func floatParam(q url.Values, name string, def float64) (float64, error) {
 	v := q.Get(name)
 	if v == "" {
@@ -667,6 +652,9 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad %s: %v", name, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("bad %s: must be finite", name)
 	}
 	return f, nil
 }
@@ -686,6 +674,14 @@ func deadParam(q url.Values) (core.DeadModel, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
+		// Finite parameters can still overflow the model's arithmetic
+		// (e=1e308 makes E/ε infinite). Such a query has no
+		// representable answer: the caller's error, not the server's.
+		var uv *json.UnsupportedValueError
+		if errors.As(err, &uv) {
+			http.Error(w, "result not finite: "+err.Error(), http.StatusBadRequest)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

@@ -83,20 +83,11 @@ func TestFigureSingleflight(t *testing.T) {
 			recs[i] = get(t, h, "/v1/figure?id=2")
 		}(i)
 	}
-	// Let every request reach the flight table before the leader runs.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		s.mu.Lock()
-		inFlight := len(s.flights)
-		s.mu.Unlock()
-		if inFlight == 1 && calls.Load() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("flight never formed: %d calls", calls.Load())
-		}
-		time.Sleep(time.Millisecond)
+	// Let every request join the flight before the generation finishes.
+	waitForWaiters(t, s, "figure|id=2|quick=false", n)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("flight never formed: %d calls", got)
 	}
-	time.Sleep(10 * time.Millisecond) // give followers time to enqueue
 	close(release)
 	wg.Wait()
 
@@ -128,8 +119,8 @@ func TestFigureSingleflight(t *testing.T) {
 	}
 }
 
-// TestFigureFailureNotCached: a generation that reports failures must
-// not be replayed from the response cache.
+// TestFigureFailureNotCached: a generation that reports failures is a
+// 500 and must not be replayed from the response cache.
 func TestFigureFailureNotCached(t *testing.T) {
 	s := testServer()
 	var calls atomic.Int32
@@ -140,8 +131,8 @@ func TestFigureFailureNotCached(t *testing.T) {
 	h := s.handler()
 	for i := 0; i < 2; i++ {
 		rec := get(t, h, "/v1/figure?id=5")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: %d", i, rec.Code)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("request %d: %d, want 500", i, rec.Code)
 		}
 		if got := rec.Header().Get(cacheHeader); got != "miss" {
 			t.Fatalf("request %d: %s = %q, want miss (failures are uncacheable)", i, cacheHeader, got)
@@ -149,6 +140,80 @@ func TestFigureFailureNotCached(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("failed generation was cached: %d calls", calls.Load())
+	}
+}
+
+// waitForWaiters polls until n requests wait on the generation for key.
+func waitForWaiters(t *testing.T, s *server, key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); s.flights.Waiters(key) != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests waiting, want %d", s.flights.Waiters(key), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFigureStarterDisconnect: the client that started a generation
+// disconnecting gets a 504 at once, and a request coalesced onto the
+// same generation still gets a 200 with no failures from that one
+// generation.
+func TestFigureStarterDisconnect(t *testing.T) {
+	s := testServer()
+	var calls atomic.Int32
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+		calls.Add(1)
+		close(started)
+		<-release
+		if err := ctx.Err(); err != nil {
+			return nil, []experiments.Failure{{ID: which, Err: err}}
+		}
+		return experiments.GenerateFigures(ctx, which, quick, run)
+	}
+	h := s.handler()
+
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	rec1 := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		req := httptest.NewRequest("GET", "/v1/figure?id=2", nil).WithContext(ctx1)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		rec1 <- rec
+	}()
+	<-started
+	rec2 := make(chan *httptest.ResponseRecorder, 1)
+	go func() { rec2 <- get(t, h, "/v1/figure?id=2") }()
+	waitForWaiters(t, s, "figure|id=2|quick=false", 2)
+
+	cancel1()
+	select {
+	case rec := <-rec1:
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("disconnected request: %d, want 504", rec.Code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("disconnected request still waiting on the generation")
+	}
+	close(release)
+
+	rec := <-rec2
+	if rec.Code != http.StatusOK {
+		t.Fatalf("coalesced request: %d %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(cacheHeader); got != "coalesced" {
+		t.Fatalf("%s = %q, want coalesced", cacheHeader, got)
+	}
+	var resp figureResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Failures) != 0 || len(resp.Figures) != 1 {
+		t.Fatalf("coalesced request got %d figures, failures %+v", len(resp.Figures), resp.Failures)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d generations, want 1", got)
 	}
 }
 
@@ -191,6 +256,9 @@ func TestModelQuery(t *testing.T) {
 	if rec := get(t, h, "/v1/model?tau_b=abc"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("non-numeric τ_B accepted: %d", rec.Code)
 	}
+	if rec := get(t, h, "/v1/model?e=1e308"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("overflowing E accepted: %d", rec.Code)
+	}
 }
 
 // TestSweepQuery: the τ_B sweep returns the requested grid and its
@@ -217,6 +285,8 @@ func TestSweepQuery(t *testing.T) {
 	for _, url := range []string{
 		"/v1/sweep?lo=0", "/v1/sweep?lo=10&hi=1", "/v1/sweep?n=1",
 		"/v1/sweep?space=cubic", "/v1/sweep?dead=sometimes",
+		"/v1/sweep?lo=NaN", "/v1/sweep?hi=Inf", "/v1/sweep?space=lin&lo=NaN",
+		"/v1/sweep?lo=5&hi=5", "/v1/sweep?e=1e308",
 	} {
 		if rec := get(t, h, url); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", url, rec.Code)
@@ -251,6 +321,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	if csv.Code != http.StatusOK || !strings.Contains(csv.Body.String(), "requests") {
 		t.Fatalf("CSV export missing request accounting: %d", csv.Code)
 	}
+}
+
+// FuzzQuery drives the real handler with arbitrary raw query strings on
+// the query endpoints. Every answer must be a 200 or a 400: never a 500
+// and never a panic. Figure generation is stubbed, so only parsing and
+// validation are under test.
+func FuzzQuery(f *testing.F) {
+	for _, q := range []string{"lo=NaN", "hi=Inf", "lo=5&hi=5", "n=1", "n=1e9", "dead=x", "id=nope", "quick=maybe"} {
+		f.Add(q)
+	}
+	s := testServer()
+	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+		return []*experiments.Figure{{ID: which}}, nil
+	}
+	h := s.handler()
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, path := range []string{"/v1/sweep", "/v1/model", "/v1/figure"} {
+			req := httptest.NewRequest("GET", path, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s?%s: %d %s", path, raw, rec.Code, rec.Body.String())
+			}
+		}
+	})
 }
 
 func TestHealthz(t *testing.T) {

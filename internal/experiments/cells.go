@@ -12,8 +12,8 @@ import (
 	"ehmodel/internal/sweep"
 )
 
-// Every sweep driver in this package builds a sweep.Plan of cells and
-// executes it through the memoizing executor (sweep.RunPlan). A cell's
+// Every sweep driver in this package builds a []sweep.Cell and executes
+// it through the memoizing executor (sweep.Run). A cell's
 // Build closure holds only the simulation's content — workload, strategy,
 // supply — so identical configurations dedupe across figures and recall
 // from the result store; model evaluation happens afterwards on the

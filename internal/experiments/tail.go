@@ -47,10 +47,9 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 	tailS := Series{Label: "5th percentile p"}
 
 	tauBs := []uint64{250, 500, 1000, 2000, 4000, 8000, 14000}
-	plan := sweep.NewPlan("tail")
+	var cells []sweep.Cell
 	for _, tauB := range tauBs {
-		tauB := tauB
-		plan.Add(sweep.Cell{
+		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("tail τ_B=%d cycles", tauB),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 				w, _ := workload.Get("counter")
@@ -73,7 +72,7 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 			},
 		})
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	if len(errs) > 0 {
 		return nil, nil, errs[0].Err
 	}

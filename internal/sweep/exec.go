@@ -47,8 +47,8 @@ type CellResult struct {
 	// Key is the cell's content hash; HasKey is false for bypassed cells.
 	Key    Key
 	HasKey bool
-	// Cached reports whether Result came from the store (a singleflight
-	// follower's shared result counts as cached).
+	// Cached reports whether Result came from the store (a result shared
+	// from another caller's in-flight run counts as cached).
 	Cached bool
 	// Extras is the stored extras payload (nil when the cell has none).
 	Extras json.RawMessage
@@ -73,6 +73,11 @@ type Stats struct {
 	// Dedup collapsed onto an identical in-flight cell (singleflight
 	// followers); StoreErrors counts failed store writes (the sweep
 	// continues — a broken store degrades to slower, never to wrong).
+	//
+	// The counts are per caller: each cell a caller resolves counts once,
+	// by how that caller got it, and a caller that leaves before its cell
+	// resolves is not counted. A run whose starter left therefore counts
+	// no Miss: each caller still waiting when it finishes counts a Dedup.
 	Hits, Misses, Bypass, Dedup, StoreErrors uint64
 }
 
@@ -86,7 +91,7 @@ func (s Stats) Total() uint64 { return s.Hits + s.Misses + s.Bypass + s.Dedup }
 // the CLI/service layer via SetDefault.
 type Executor struct {
 	store   Store
-	flights flightGroup
+	flights Flight[Key, *Entry]
 
 	hits, misses, bypass, dedup, storeErrs atomic.Uint64
 }
@@ -163,13 +168,11 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 		return CellResult{}, failSpan(sp, err)
 	}
 	// Environmental wiring is the executor's job, applied uniformly so a
-	// cell's identity never depends on it: neither field is part of the
-	// key, and an aborted run is never stored.
+	// cell's identity never depends on it: neither RunTimeout nor
+	// Interrupt (wired in runLive) is part of the key, and an aborted run
+	// is never stored.
 	if cfg.RunTimeout == 0 {
 		cfg.RunTimeout = o.RunTimeout
-	}
-	if cfg.Interrupt == nil {
-		cfg.Interrupt = runner.Interrupt(ctx)
 	}
 
 	key, keyed := Key{}, false
@@ -198,7 +201,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	}
 
 	waitStart := time.Now()
-	ent, shared, err := e.flights.do(ctx, key, func() (*Entry, error) {
+	ent, shared, err := e.flights.Do(ctx, key, func(ctx context.Context) (*Entry, error) {
 		live := time.Now()
 		res, _, extras, err := runLive(ctx, cfg, strat, c)
 		if err != nil {
@@ -226,8 +229,8 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	if shared {
 		e.dedup.Add(1)
 		outcome = "dedup"
-		// The follower's whole wait was on the leader's run; record it
-		// retroactively (the span was only known to be a wait, not a
+		// The follower's whole wait was on another caller's run; record
+		// it retroactively (the span was only known to be a wait, not a
 		// simulation, once the flight resolved).
 		obsv.AddSpan(ctx, "singleflight.wait", waitStart, time.Now())
 	} else {
@@ -298,13 +301,18 @@ func (e *Executor) finish(c *Cell, cfg device.Config, strat device.Strategy, key
 	return out, verify(c, ent.Result)
 }
 
-// runLive simulates the cell and captures its extras. When the context
+// runLive simulates the cell and captures its extras. The run aborts
+// when ctx ends; for a keyed cell ctx is the flight's, which ends only
+// once every caller waiting on the cell has left. When the context
 // carries a trace, the simulation gets its own "device.run" span whose
 // attributes (periods, backups, brown-outs, simcycles) are counted from
 // the device's own lifecycle events: a SpanCounter is combined with
 // whatever tracer the config or process default would have used, so
 // tracing a request never displaces the metrics sink.
 func runLive(ctx context.Context, cfg device.Config, strat device.Strategy, c *Cell) (*device.Result, device.Config, json.RawMessage, error) {
+	if cfg.Interrupt == nil {
+		cfg.Interrupt = runner.Interrupt(ctx)
+	}
 	_, sp := obsv.StartSpan(ctx, "device.run")
 	var sc *obsv.SpanCounter
 	if sp != nil {

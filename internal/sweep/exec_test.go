@@ -3,13 +3,15 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
 	"ehmodel/internal/device"
+	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 )
 
@@ -217,201 +219,101 @@ func TestExecutorBuildError(t *testing.T) {
 	}
 }
 
-// TestFlightGroupCollapse exercises the singleflight directly: N
-// concurrent calls for one key yield one leader and N−1 followers
-// sharing the leader's entry.
-func TestFlightGroupCollapse(t *testing.T) {
-	var g flightGroup
-	var calls atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
-	ent := &Entry{Result: nil}
-
-	// The leader enters fn and blocks; every follower spawned after
-	// `started` finds the in-flight call and waits on it.
-	leaderOut := make(chan error, 1)
-	go func() {
-		e, shared, err := g.do(context.Background(), key(1), func() (*Entry, error) {
-			calls.Add(1)
-			close(started)
-			<-release
-			return ent, nil
-		})
-		if e != ent || shared {
-			err = fmt.Errorf("leader: ent=%p shared=%v", e, shared)
-		}
-		leaderOut <- err
-	}()
-	<-started
-
-	const followers = 7
-	type out struct {
-		ent    *Entry
-		shared bool
-		err    error
-	}
-	outs := make(chan out, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			e, shared, err := g.do(context.Background(), key(1), func() (*Entry, error) {
-				calls.Add(1)
-				return ent, nil
-			})
-			outs <- out{e, shared, err}
-		}()
-	}
-	// Give the followers time to park on the flight, then release.
-	waitForFlightWaiters(t, &g)
-	close(release)
-
-	if err := <-leaderOut; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < followers; i++ {
-		o := <-outs
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.ent != ent {
-			t.Fatal("follower got a different entry")
-		}
-		if !o.shared {
-			t.Fatal("a follower became a leader despite the in-flight call")
-		}
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("%d executions for 8 concurrent calls", got)
-	}
+// blockingObserver holds a simulation mid-run: the first device event
+// closes started and parks until release closes.
+type blockingObserver struct {
+	once             sync.Once
+	started, release chan struct{}
 }
 
-// waitForFlightWaiters gives follower goroutines a moment to enter do()
-// and park. The flight's presence is checkable; the parked waiters are
-// not, so a short grace period follows.
-func waitForFlightWaiters(t *testing.T, g *flightGroup) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		inFlight := len(g.m)
-		g.mu.Unlock()
-		if inFlight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("flight never formed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-}
-
-// TestFlightGroupFollowerCancellation: a follower whose context dies
-// stops waiting without killing the leader.
-func TestFlightGroupFollowerCancellation(t *testing.T) {
-	var g flightGroup
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := g.do(context.Background(), key(2), func() (*Entry, error) {
-			close(started)
-			<-release
-			return &Entry{}, nil
-		})
-		leaderDone <- err
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, shared, err := g.do(ctx, key(2), func() (*Entry, error) {
-		t.Error("canceled follower became a leader")
-		return nil, nil
+func (o *blockingObserver) Event(obsv.Event) {
+	o.once.Do(func() {
+		close(o.started)
+		<-o.release
 	})
-	if !shared || err == nil {
-		t.Fatalf("shared=%v err=%v, want canceled follower", shared, err)
+}
+
+// TestExecutorSharedCellSurvivesCancel: cancelling the Run that started
+// a cell mid-simulation does not fail a second Run waiting on the same
+// cell. The second Run gets the Result an uncontended run produces, and
+// Stats count it as one Dedup: the cancelled starter counts nothing, so
+// the run counts no Miss.
+func TestExecutorSharedCellSurvivesCancel(t *testing.T) {
+	obs := &blockingObserver{started: make(chan struct{}), release: make(chan struct{})}
+	// Scale 8 runs ≈200k cycles: past several interrupt polls, so a
+	// cancellation wired to the run would abort it.
+	c := testCell(t, 8, 2000)
+	build := c.Build
+	c.Build = func(ctx context.Context) (device.Config, device.Strategy, error) {
+		cfg, s, err := build(ctx)
+		cfg.Observe = obs // environmental: not part of the key
+		return cfg, s, err
 	}
-	close(release)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader failed: %v", err)
+	cfg, s := testContent(t, 8, 2000, 10000)
+	k := mustKey(t, cfg, s)
+
+	e := NewExecutor(NewMemStore(0))
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	errs1 := make(chan runner.Errors, 1)
+	go func() {
+		_, errs := e.Run(ctx1, []Cell{c}, runner.Options{})
+		errs1 <- errs
+	}()
+	<-obs.started
+
+	type out struct {
+		res  []CellResult
+		errs runner.Errors
+	}
+	out2 := make(chan out, 1)
+	go func() {
+		res, errs := e.Run(context.Background(), []Cell{c}, runner.Options{})
+		out2 <- out{res, errs}
+	}()
+	waitForWaiters(t, &e.flights, k, 2)
+
+	cancel1()
+	select {
+	case errs := <-errs1:
+		if len(errs) != 1 || !errors.Is(errs[0].Err, context.Canceled) {
+			t.Errorf("cancelled run: %v, want context.Canceled", errs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("cancelled run did not return while its cell was still running")
+	}
+	close(obs.release)
+
+	o := <-out2
+	if len(o.errs) != 0 {
+		t.Fatalf("second run failed: %v", o.errs[0])
+	}
+	want := run1(t, NewExecutor(nil), []Cell{testCell(t, 8, 2000)}, 1)
+	if !reflect.DeepEqual(o.res[0].Result, want[0].Result) {
+		t.Fatal("shared result differs from an uncontended run")
+	}
+	if !o.res[0].Cached {
+		t.Fatal("shared result not reported as cached")
+	}
+	if st := e.Stats(); st.Misses != 0 || st.Dedup != 1 || st.Total() != 1 {
+		t.Fatalf("stats %+v, want one Dedup and nothing else", st)
 	}
 }
 
-// TestPlanTree: depth-first leaf order, Len, and fingerprint
-// sensitivity to content and structure.
-func TestPlanTree(t *testing.T) {
-	build := func() *Plan {
-		p := NewPlan("root")
-		p.Add(testCell(t, 1, 1000))
-		g1 := p.Group("g1")
-		g1.Add(testCell(t, 1, 2000))
-		g1.Add(testCell(t, 1, 3000))
-		g2 := p.Group("g2")
-		g2.Add(testCell(t, 2, 2000))
-		return p
-	}
-	p := build()
-	if p.Len() != 4 {
-		t.Fatalf("len %d", p.Len())
-	}
-	cells := p.Cells()
-	want := []string{
-		"counter scale=1 τB=1000",
-		"counter scale=1 τB=2000",
-		"counter scale=1 τB=3000",
-		"counter scale=2 τB=2000",
-	}
-	for i, c := range cells {
-		if c.Label != want[i] {
-			t.Fatalf("leaf %d = %q, want %q", i, c.Label, want[i])
+// TestExecutorExtrasPanicReleasesKey: a cell whose Extras panics fails
+// with a *runner.PanicError and leaves no flight behind, so the next
+// Run of the same cell runs it again instead of blocking.
+func TestExecutorExtrasPanicReleasesKey(t *testing.T) {
+	e := NewExecutor(NewMemStore(0))
+	c := testCell(t, 1, 2000)
+	c.Extras = func(device.Strategy, *device.Result) (any, error) { panic("extras boom") }
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		_, errs := e.Run(ctx, []Cell{c}, runner.Options{})
+		var pe *runner.PanicError
+		if len(errs) != 1 || !errors.As(errs[0].Err, &pe) {
+			t.Fatalf("run %d: %v, want a *runner.PanicError", i, errs)
 		}
-	}
-
-	ctx := context.Background()
-	f1, err := p.Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := build().Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 != f2 {
-		t.Fatal("identical plans fingerprint differently")
-	}
-	// Changing one cell's content changes the root fingerprint.
-	p3 := build()
-	p3.Add(testCell(t, 3, 1000))
-	f3, err := p3.Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f3 == f1 {
-		t.Fatal("content change invisible to fingerprint")
-	}
-	// Bypass leaves are salted by position+label, not aliased.
-	p4 := build()
-	c := testCell(t, 1, 1000)
-	c.NoCache = true
-	p4.Add(c)
-	p5 := build()
-	c2 := testCell(t, 1, 1000)
-	c2.NoCache = true
-	c2.Label = "other"
-	p5.Add(c2)
-	f4, _ := p4.Fingerprint(ctx)
-	f5, _ := p5.Fingerprint(ctx)
-	if f4 == f5 {
-		t.Fatal("bypass leaves aliased")
-	}
-
-	// RunPlan returns results in leaf order through the default executor.
-	res, errs := RunPlan(ctx, p, runner.Options{Workers: 2})
-	if len(errs) != 0 {
-		t.Fatal(errs[0])
-	}
-	if len(res) != 4 {
-		t.Fatalf("%d results", len(res))
 	}
 }
 
