@@ -64,7 +64,6 @@ func cliMain() int {
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV files (created if missing)")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock deadline per simulation run (0 = none)")
-	engineName := flag.String("engine", "batched", "execution engine: batched (event-horizon) or reference (per-instruction); results are byte-identical")
 	cacheMode := flag.String("cache", "mem", "result store: mem (in-process LRU), disk (persistent CAS under -cache-dir) or off")
 	cacheDir := flag.String("cache-dir", "results/cache", "directory for the on-disk result store (with -cache disk)")
 	traceFile := flag.String("trace", "", "write every device's lifecycle to this Chrome trace_event JSON file (chrome://tracing, Perfetto)")
@@ -73,13 +72,6 @@ func cliMain() int {
 	var prof profiling.Flags
 	prof.Register()
 	flag.Parse()
-
-	engine, err := device.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehfigs:", err)
-		return 2
-	}
-	device.SetDefaultEngine(engine)
 
 	exec, err := buildExecutor(*cacheMode, *cacheDir)
 	if err != nil {

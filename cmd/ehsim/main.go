@@ -180,16 +180,8 @@ func cliMain() int {
 	adversarial := flag.Bool("adversarial", false, "run the adversarial fault-search campaign (frontier-biased cuts, coverage tracking, shrunk counterexamples) instead of the random sweep")
 	campaignBudget := flag.Int("campaign-budget", 64, "attack schedules per strategy × workload cell in -adversarial mode")
 	counterexamples := flag.String("counterexamples", "", "write minimized, replayable counterexample cases to this file when -adversarial finds violations")
-	engineName := flag.String("engine", "batched", "execution engine: batched (event-horizon) or reference (per-instruction); results are byte-identical")
 	wcecCheck := flag.Bool("wcec-check", false, "run the static WCEC forward-progress verifier before simulating and refuse statically-infeasible configurations (see ehlint -wcec)")
 	flag.Parse()
-
-	engine, err := device.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehsim:", err)
-		return 2
-	}
-	device.SetDefaultEngine(engine)
 
 	stopProf, err := prof.Start()
 	if err != nil {

@@ -58,19 +58,16 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkStepN measures the batched interpreter: one call executes a
-// 16 Ki-cycle budget and reports every step into a reused record sink.
-// The allocs/op metric must stay at zero — the batched engine's hot
-// loop is required to be allocation-free.
+// 16 Ki-cycle budget. The allocs/op metric must stay at zero — the
+// batched engine's hot loop is required to be allocation-free.
 func BenchmarkStepN(b *testing.B) {
 	code, m := benchLoop(b)
 	c := &Core{}
-	sink := &BatchSink{Recs: make([]StepRec, 0, 1<<14)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		sink.Recs = sink.Recs[:0]
-		bt, err := c.StepN(code, m, 1<<14, 0, sink)
+		bt, err := c.StepN(code, m, 1<<14, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,8 +76,8 @@ func BenchmarkStepN(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
-// TestStepNZeroAllocs pins the allocation-free contract: once the sink
-// has capacity, a StepN call allocates nothing.
+// TestStepNZeroAllocs pins the allocation-free contract: a StepN call
+// allocates nothing.
 func TestStepNZeroAllocs(t *testing.T) {
 	bb := asm.New("allocs")
 	bb.Word("count", 0)
@@ -106,10 +103,8 @@ func TestStepNZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Core{}
-	sink := &BatchSink{Recs: make([]StepRec, 0, 1<<12)}
 	allocs := testing.AllocsPerRun(100, func() {
-		sink.Recs = sink.Recs[:0]
-		if _, err := c.StepN(p.Code, m, 1<<12, 0, sink); err != nil {
+		if _, err := c.StepN(p.Code, m, 1<<12, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

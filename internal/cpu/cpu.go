@@ -10,16 +10,8 @@ import (
 
 	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
+	"ehmodel/internal/mem"
 )
-
-// Memory is the data address space the core executes against.
-// *mem.System satisfies it.
-type Memory interface {
-	LoadWord(addr uint32) (uint32, error)
-	StoreWord(addr uint32, v uint32) error
-	LoadByte(addr uint32) (byte, error)
-	StoreByte(addr uint32, v byte) error
-}
 
 // Cycle costs per instruction kind. Loads and stores take two cycles —
 // the FRAM word access time at 16 MHz the paper cites (§III).
@@ -162,7 +154,7 @@ func (c *Core) setReg(r isa.Reg, v uint32) {
 // Step executes one instruction from code against m. The returned Step
 // carries the cycle/energy accounting. Executing on a halted core or
 // with the PC outside code is an error.
-func (c *Core) Step(code []isa.Instr, m Memory) (Step, error) {
+func (c *Core) Step(code []isa.Instr, m *mem.System) (Step, error) {
 	var st Step
 	pc := c.PC
 	if err := c.stepInto(code, m, &st); err != nil {
@@ -175,21 +167,12 @@ func (c *Core) Step(code []isa.Instr, m Memory) (Step, error) {
 	return st, nil
 }
 
-// StepInto executes one instruction like Step but writes the report
-// into *st — everything except the Instr echo — and allocates nothing.
-// It is the device engines' per-instruction entry point: st lives
-// across calls, so a hot loop keeps a single report buffer instead of
-// copying a Step per instruction.
-func (c *Core) StepInto(code []isa.Instr, m Memory, st *Step) error {
-	return c.stepInto(code, m, st)
-}
-
 // stepInto is the interpreter shared by Step and StepN: it executes one
 // instruction and overwrites *st with its report (everything except the
 // Instr echo, which only the Step wrapper fills). A single body keeps
 // the per-step and batched engines incapable of semantic divergence.
 // On error the core state is unchanged and *st is zeroed.
-func (c *Core) stepInto(code []isa.Instr, m Memory, st *Step) error {
+func (c *Core) stepInto(code []isa.Instr, m *mem.System, st *Step) error {
 	if c.Halted {
 		*st = Step{}
 		return fmt.Errorf("cpu: step on halted core")
@@ -423,29 +406,6 @@ const (
 	StopPCRange
 )
 
-// StepRec is the compact per-instruction record StepN appends to a
-// sink: the cycle position and store address the device's observation
-// recorder needs. 8 bytes per instruction.
-type StepRec struct {
-	Cycles uint8 // 1..8 today; uint8 leaves headroom
-	Flags  uint8 // RecAccess | RecStore
-	_      [2]uint8
-	Addr   uint32 // access address, valid when RecAccess
-}
-
-// StepRec flag bits.
-const (
-	RecAccess uint8 = 1 << iota // the instruction touched data memory
-	RecStore                    // ... and the access was a store
-)
-
-// BatchSink receives StepN's per-instruction records. The caller owns
-// Recs and truncates it between batches; StepN only appends, so a sink
-// reused with adequate capacity never allocates.
-type BatchSink struct {
-	Recs []StepRec
-}
-
 // Batch summarizes one StepN call.
 type Batch struct {
 	Cycles uint64 // total cycles consumed by executed instructions
@@ -460,15 +420,14 @@ type Batch struct {
 	Sys    isa.Sys
 }
 
-// StepN executes instructions until the consumed cycles reach budget,
-// appending one StepRec per instruction to sink when sink is non-nil.
+// StepN executes instructions until the consumed cycles reach budget.
 // It stops early — after executing the instruction — at a halt or at
 // any SYS in the stop mask, and stops before fetching when the PC
 // leaves the code. A memory or decode error returns the batch of the
 // instructions that did execute (the failing one changed no state,
-// exactly like Step) alongside the error. StepN performs no allocation
-// when the sink is nil or has capacity.
-func (c *Core) StepN(code []isa.Instr, m Memory, budget uint64, stop isa.SysMask, sink *BatchSink) (Batch, error) {
+// exactly like Step) alongside the error. StepN performs no
+// allocation.
+func (c *Core) StepN(code []isa.Instr, m *mem.System, budget uint64, stop isa.SysMask) (Batch, error) {
 	var b Batch
 	var st Step
 	for b.Cycles < budget && !c.Halted {
@@ -478,22 +437,6 @@ func (c *Core) StepN(code []isa.Instr, m Memory, budget uint64, stop isa.SysMask
 		}
 		if err := c.stepInto(code, m, &st); err != nil {
 			return b, err
-		}
-		if sink != nil {
-			flags := uint8(0)
-			addr := uint32(0)
-			if st.HasAccess {
-				flags = RecAccess
-				if st.Access.Store {
-					flags |= RecStore
-				}
-				addr = st.Access.Addr
-			}
-			sink.Recs = append(sink.Recs, StepRec{
-				Cycles: uint8(st.Cycles),
-				Flags:  flags,
-				Addr:   addr,
-			})
 		}
 		b.Cycles += st.Cycles
 		b.ClassCycles[st.Class] += st.Cycles

@@ -12,7 +12,6 @@ package device
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"ehmodel/internal/asm"
@@ -229,27 +228,21 @@ type SysObserver interface {
 type Engine int
 
 const (
-	// EngineDefault (the zero value) resolves to the process-wide
-	// default — batched, unless a CLI overrode it with
-	// SetDefaultEngine. Sweep drivers that build Configs internally
-	// inherit the flag without threading it through every layer.
-	EngineDefault Engine = iota
-	// EngineBatched runs the event-horizon engine: instructions execute
-	// in batches bounded by the next event (power death, strategy
-	// trigger, scheduled fault, poll chunk) and each batch settles once,
-	// as per-class cycle counts times the per-cycle energies on the
-	// capacitor's integer ledger.
-	EngineBatched
+	// EngineBatched (the zero value) runs the event-horizon engine:
+	// instructions execute in batches bounded by the next event (power
+	// death, strategy trigger, scheduled fault, poll chunk) and each
+	// batch settles once, as per-class cycle counts times the per-cycle
+	// energies on the capacitor's integer ledger.
+	EngineBatched Engine = iota
 	// EngineReference runs the original per-instruction loop. Results
 	// are byte-identical to EngineBatched (the equivalence oracle test
-	// proves it); keep it as the trust anchor and for A/B timing.
+	// proves it); it is the trust anchor that test checks against and
+	// the reference row of the engine benchmark.
 	EngineReference
 )
 
 func (e Engine) String() string {
 	switch e {
-	case EngineDefault:
-		return "default"
 	case EngineBatched:
 		return "batched"
 	case EngineReference:
@@ -258,53 +251,12 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps a CLI flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "default":
-		return EngineDefault, nil
-	case "batched":
-		return EngineBatched, nil
-	case "reference":
-		return EngineReference, nil
-	}
-	return EngineDefault, fmt.Errorf("device: unknown engine %q (want batched or reference)", s)
-}
-
-// defaultEngine is what EngineDefault resolves to; batched unless a CLI
-// overrides it once at startup.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine sets the engine EngineDefault resolves to. Call it
-// once, before any devices run — it exists so a single -engine flag can
-// steer sweep drivers that assemble their Configs many layers down.
-func SetDefaultEngine(e Engine) {
-	defaultEngine.Store(int32(e))
-}
-
-// Resolved returns the engine a run with this value would actually use:
-// EngineDefault follows the process-wide default (batched unless
-// SetDefaultEngine overrode it). The memoization layer keys cells on the
-// resolved engine so "default" never aliases two different engines in
-// the store.
-func (e Engine) Resolved() Engine { return e.resolve() }
-
-func (e Engine) resolve() Engine {
-	if e != EngineDefault {
-		return e
-	}
-	if d := Engine(defaultEngine.Load()); d != EngineDefault {
-		return d
-	}
-	return EngineBatched
-}
-
 // Config assembles a device.
 type Config struct {
 	Prog *asm.Program
 
-	// Engine picks the active-phase loop; the zero value follows the
-	// process default (batched). See EngineBatched/EngineReference.
+	// Engine picks the active-phase loop; the zero value is the
+	// batched engine. See EngineBatched/EngineReference.
 	Engine Engine
 
 	SRAMSize int // bytes; default 8 KiB
@@ -388,10 +340,10 @@ type Config struct {
 
 	// Record, when non-nil, logs the run's observation sequence (input
 	// reads, committed outputs, checkpoint/restore lineage) for the
-	// formal correctness oracle (internal/faults). Attaching a recorder
-	// forces SysSense into the batch-stop mask and makes batches keep
-	// per-instruction records so every input read and store gets an
-	// exact cycle stamp; results are unchanged (see obslog.go).
+	// formal correctness oracle (internal/faults). A recorded run
+	// executes every instruction through the per-step loop, so every
+	// input read and store gets an exact cycle stamp; results are
+	// unchanged (see obslog.go).
 	Record *ObsLog
 }
 
@@ -455,7 +407,7 @@ func (c *Config) Validate() error {
 	if c.RunTimeout < 0 {
 		return fmt.Errorf("device: RunTimeout %v must be ≥ 0", c.RunTimeout)
 	}
-	if c.Engine < EngineDefault || c.Engine > EngineReference {
+	if c.Engine < EngineBatched || c.Engine > EngineReference {
 		return fmt.Errorf("device: unknown engine %d", int(c.Engine))
 	}
 	return nil
@@ -531,13 +483,9 @@ type Device struct {
 	runStart  time.Time
 	sincePoll uint64
 
-	// Batched-engine state (run.go): the resolved engine, the SYS codes
-	// that end a batch, the per-instruction record sink (only with an
-	// observation recorder, which needs store cycle stamps), and the
-	// executed cycles each engine path ran (batches vs per step).
-	engine      Engine
+	// Batched-engine state (run.go): the SYS codes that end a batch, and
+	// the executed cycles each engine path ran (batches vs per step).
 	stopSys     isa.SysMask
-	sink        *cpu.BatchSink
 	batchCycles uint64
 	stepCycles  uint64
 
@@ -622,7 +570,6 @@ func New(cfg Config, s Strategy) (*Device, error) {
 		}
 		d.cache = cache
 	}
-	d.engine = cfg.Engine.resolve()
 	d.obs = resolveObserver(cfg.Observe)
 	d.eOn = energy.EnergyAt(cfg.CapC, cfg.VOn)
 	d.eOff = energy.EnergyAt(cfg.CapC, cfg.VOff)
@@ -640,15 +587,6 @@ func New(cfg Config, s Strategy) (*Device, error) {
 		d.stratNaive = true
 	}
 	d.rec = cfg.Record
-	if d.rec != nil {
-		// Every input read must end its batch so the recorder sees an
-		// exact per-instruction timestamp. Extra batch boundaries are
-		// result-neutral: the reference engine delivers a PostStep after
-		// every instruction anyway, so the Horizon contract already
-		// requires strategies to tolerate them.
-		d.stopSys |= isa.MaskOf(isa.SysSense)
-		d.sink = &cpu.BatchSink{Recs: make([]cpu.StepRec, 0, maxBatchCycles)}
-	}
 	s.Attach(d)
 	return d, nil
 }
@@ -688,6 +626,12 @@ func (d *Device) FullSupply() float64 {
 // ExecSinceBackup returns executed cycles since the last committed
 // backup — the live τ_B counter watchdog strategies use.
 func (d *Device) ExecSinceBackup() uint64 { return d.execSinceBkup }
+
+// EnginePath splits the executed cycles of the device's run by the
+// engine path that ran them: in StepN batches and through the per-step
+// protocol. Together they are every progress and dead cycle; the
+// EvEnginePath event carries the same pair.
+func (d *Device) EnginePath() (batch, step uint64) { return d.batchCycles, d.stepCycles }
 
 // SRAMFootprint is the number of volatile bytes a full-memory
 // checkpoint must save: the program's initialized SRAM data, word

@@ -65,9 +65,10 @@ func BenchmarkEngineBatched(b *testing.B)   { benchmarkEngine(b, device.EngineBa
 
 // benchmarkStepN is the interpreter micro-benchmark behind the
 // zero-allocation row of BENCH_core.json: one op is one cpu.StepN call
-// over a 16 Ki-cycle budget of the counter hot loop into a reused
-// sink. Its allocs/op must stay at zero — the batched engine's
-// hot-loop contract (pinned hard by cpu.TestStepNZeroAllocs).
+// over a 16 Ki-cycle budget of the counter hot loop, the call the
+// batched engine makes per batch. Its allocs/op must stay at zero —
+// the batched engine's hot-loop contract (pinned hard by
+// cpu.TestStepNZeroAllocs).
 func benchmarkStepN(b *testing.B) {
 	w, ok := workload.Get("counter")
 	if !ok {
@@ -88,13 +89,11 @@ func benchmarkStepN(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := &cpu.Core{}
-	sink := &cpu.BatchSink{Recs: make([]cpu.StepRec, 0, 1<<14)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		sink.Recs = sink.Recs[:0]
-		bt, err := c.StepN(prog.Code, m, 1<<14, isa.SysMask(0), sink)
+		bt, err := c.StepN(prog.Code, m, 1<<14, isa.SysMask(0))
 		if err != nil {
 			b.Fatal(err)
 		}

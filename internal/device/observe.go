@@ -15,8 +15,8 @@ import (
 // batches, faults — never per instruction.
 
 // defaultObserver is the process-wide tracer provider Config.Observe
-// falls back to, mirroring SetDefaultEngine: a CLI sets it once and
-// every device built by sweep drivers many layers down picks it up.
+// falls back to: a CLI sets it once and every device built by sweep
+// drivers many layers down picks it up.
 var defaultObserver atomic.Pointer[func() obsv.Tracer]
 
 // SetDefaultObserver installs a provider consulted by New whenever
@@ -32,25 +32,16 @@ func SetDefaultObserver(provider func() obsv.Tracer) {
 	defaultObserver.Store(&provider)
 }
 
-// DefaultObserver invokes the process-wide provider once and returns
-// its tracer (nil when no provider is installed). Layers that must
-// combine the default sink with their own per-run tracer — the sweep
-// executor attaching a span counter to a traced cell — resolve it here
-// and pass the combination through Config.Observe, which preserves the
-// provider's once-per-device contract.
-func DefaultObserver() obsv.Tracer {
-	if p := defaultObserver.Load(); p != nil {
-		return (*p)()
-	}
-	return nil
-}
-
-// resolveObserver picks the device's tracer at construction time.
+// resolveObserver picks the device's tracer at construction time,
+// invoking the process-wide provider once when Config.Observe is nil.
 func resolveObserver(explicit obsv.Tracer) obsv.Tracer {
 	if explicit != nil {
 		return explicit
 	}
-	return DefaultObserver()
+	if p := defaultObserver.Load(); p != nil {
+		return (*p)()
+	}
+	return nil
 }
 
 // emit sends one event stamped with the device's current position.

@@ -11,15 +11,13 @@ package device
 // timeliness) that the final-memory check cannot see.
 //
 // Attaching a recorder never changes simulation results: the recorder
-// is written to, never read, by the engines. It does force SysSense
-// into the batch-stop mask, so every input read ends a batch with an
-// exact per-instruction timestamp, and makes batches keep StepN's
-// per-instruction records, so every logged store gets its cycle
-// stamp. Both are result-neutral: extra batch boundaries are allowed by
-// the Horizon contract (the reference engine delivers a PostStep after
-// every instruction anyway), and the records are only read for the
-// log, never for settlement. A nil recorder costs the usual single nil
-// check per emission site.
+// is written to, never read, by the engines. A recorded run steps — it
+// takes the per-instruction loop whatever Config.Engine says — and that
+// is why its log is exact: every input read and every watched store is
+// stamped with the cycle position right after its own instruction. The
+// per-step loop lands on the same Result as the batched engine (the
+// engine-equivalence oracle proves it), so stepping is result-neutral.
+// A nil recorder costs the usual single nil check per emission site.
 
 // obsLogMaxRecords bounds each record slice so a pathological run
 // (thousands of replayed periods) cannot grow the log without limit.

@@ -117,9 +117,10 @@ func TestSpanDisabledCost(t *testing.T) {
 // TestEnginePathAttribution checks the engine-path counters that answer
 // "which engine path ran this cell": with a Metrics sink attached every
 // executed cycle (progress plus dead) is attributed to exactly one of
-// batches and the per-step protocol. The reference engine and Horizon-1
-// runtimes (Clank here) run everything per step; the timer runtime
-// under the batched engine runs mostly in batches.
+// batches and the per-step protocol, and Device.EnginePath reports the
+// same split. The reference engine, Horizon-1 runtimes (Clank here) and
+// recorded runs run everything per step; the timer runtime under the
+// batched engine runs mostly in batches.
 func TestEnginePathAttribution(t *testing.T) {
 	w, ok := workload.Get("counter")
 	if !ok {
@@ -129,11 +130,13 @@ func TestEnginePathAttribution(t *testing.T) {
 		name      string
 		eng       device.Engine
 		strat     string
+		record    bool
 		wantBatch bool
 	}{
-		{"timer/batched", device.EngineBatched, "timer", true},
-		{"timer/reference", device.EngineReference, "timer", false},
-		{"clank/batched", device.EngineBatched, "clank", false},
+		{"timer/batched", device.EngineBatched, "timer", false, true},
+		{"timer/reference", device.EngineReference, "timer", false, false},
+		{"clank/batched", device.EngineBatched, "clank", false, false},
+		{"timer/batched+record", device.EngineBatched, "timer", true, false},
 	}
 	for _, c := range cases {
 		spec, ok := strategy.Lookup(c.strat)
@@ -148,6 +151,9 @@ func TestEnginePathAttribution(t *testing.T) {
 		cfg := benchEquivCfg(prog, 20_000)
 		cfg.Engine = c.eng
 		cfg.Observe = &m
+		if c.record {
+			cfg.Record = &device.ObsLog{}
+		}
 		d, err := device.New(cfg, spec.New())
 		if err != nil {
 			t.Fatal(err)
@@ -165,6 +171,9 @@ func TestEnginePathAttribution(t *testing.T) {
 		}
 		if (m.BatchCycles > 0) != c.wantBatch {
 			t.Errorf("%s: batch cycles %d, want batched=%v", c.name, m.BatchCycles, c.wantBatch)
+		}
+		if b, st := d.EnginePath(); b != m.BatchCycles || st != m.StepCycles {
+			t.Errorf("%s: EnginePath = (%d, %d), events say (%d, %d)", c.name, b, st, m.BatchCycles, m.StepCycles)
 		}
 	}
 }

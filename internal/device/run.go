@@ -214,7 +214,7 @@ func (d *Device) Run() (*Result, error) {
 	}
 	if d.obs != nil {
 		var eng uint64
-		if d.engine != EngineReference && d.cache == nil {
+		if !d.perStep() {
 			eng = 1
 		}
 		d.emit(obsv.EvRunBegin, eng, 0, 0)
@@ -466,9 +466,8 @@ const (
 	// engine runs the exact per-step protocol, which is cheaper than
 	// sizing a batch that would hold a handful of instructions.
 	minBatchCycles = 32
-	// maxBatchCycles caps one batch (and the record sink it fills) so a
-	// long event-free stretch still polls the interrupt hook at a
-	// bounded latency.
+	// maxBatchCycles caps one batch so a long event-free stretch still
+	// polls the interrupt hook at a bounded latency.
 	maxBatchCycles = 1 << 14
 	// cutGuard is slack between a batch's end and the next scheduled
 	// power cut; it must exceed the instruction overshoot so the cut
@@ -482,13 +481,19 @@ const (
 // program/simulator bugs. The work happens in one of two engines that
 // produce byte-identical results (see TestEngineEquivalence): the
 // reference per-instruction loop, and the batched event-horizon loop.
-// The cache model is inherently per-access, so cache configs always run
-// the reference loop.
 func (d *Device) activePhase() error {
-	if d.engine == EngineReference || d.cache != nil {
+	if d.perStep() {
 		return d.activePhaseReference()
 	}
 	return d.activePhaseBatched()
+}
+
+// perStep reports whether the run takes the per-instruction loop. Besides
+// EngineReference, two configurations need every instruction on its own:
+// the cache model is per-access, and the observation recorder stamps
+// each input read and watched store with its exact cycle position.
+func (d *Device) perStep() bool {
+	return d.cfg.Engine == EngineReference || d.cache != nil || d.rec != nil
 }
 
 // activePhaseReference is the original per-instruction loop, kept as
@@ -599,14 +604,10 @@ func (d *Device) activePhaseBatched() error {
 			d.emit(obsv.EvBatchHorizon, budget, d.strat.Horizon(d), 0)
 		}
 
-		c0 := d.cycles
-		b, stepErr := d.core.StepN(code, d.mem, budget, d.stopSys, d.sink)
+		b, stepErr := d.core.StepN(code, d.mem, budget, d.stopSys)
 		if b.Steps > 0 {
 			if err := d.settle(&b); err != nil {
 				return err
-			}
-			if d.rec != nil {
-				d.recordBatch(c0, &b)
 			}
 			if err := d.pollInterrupt(b.Cycles); err != nil {
 				return err
@@ -660,24 +661,6 @@ func (d *Device) settle(b *cpu.Batch) error {
 	d.execSinceBkup += b.Cycles
 	d.batchCycles += b.Cycles
 	return nil
-}
-
-// recordBatch hands the observation recorder the batch's logged stores,
-// each stamped with the cycle position after its instruction, and the
-// input read a SysSense stop ended the batch on (a recorder forces
-// SysSense into the stop mask, so a sense read always ends a batch).
-func (d *Device) recordBatch(c0 uint64, b *cpu.Batch) {
-	c := c0
-	for _, r := range d.sink.Recs {
-		c += uint64(r.Cycles)
-		if r.Flags&cpu.RecStore != 0 && d.rec.wantsStore(r.Addr) {
-			d.rec.store(r.Addr, c)
-		}
-	}
-	d.sink.Recs = d.sink.Recs[:0]
-	if b.HasSys && b.Sys == isa.SysSense {
-		d.rec.sense(d.core.SenseSeq-1, d.cycles, int32(len(d.result.Periods)))
-	}
 }
 
 // batchBudget returns how many cycles the engine may execute before the

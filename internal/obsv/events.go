@@ -25,8 +25,8 @@ type EventType uint8
 const (
 	// EvNone is the zero value; sinks ignore it.
 	EvNone EventType = iota
-	// EvRunBegin opens a run. Arg is the resolved engine
-	// (0 reference, 1 batched).
+	// EvRunBegin opens a run. Arg is the loop the active phase takes
+	// (0 the per-step reference loop, 1 batched).
 	EvRunBegin
 	// EvPowerOn begins an active period: the capacitor reached VOn.
 	// F is the recharge time in seconds that preceded the period.

@@ -316,56 +316,3 @@ func (td *TraceData) WriteTree(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(&doc)
 }
-
-// SpanCounter folds a device's lifecycle event stream into summary
-// attributes on a span: how many active periods, committed backups and
-// brown-outs a simulation cell saw, its final simulated-cycle position,
-// how many executed cycles ran in batches and how many per step, and
-// whether it completed. It implements Tracer and, like any
-// per-device sink, assumes single-goroutine access; call Flush after
-// the run to attach the attributes.
-type SpanCounter struct {
-	sp        *Span
-	periods   uint64
-	backups   uint64
-	brownOuts uint64
-	cycles    uint64
-	batchCyc  uint64
-	stepCyc   uint64
-	completed bool
-}
-
-// NewSpanCounter builds a counter attributing onto sp (which may be
-// nil; the counter then still counts but Flush does nothing).
-func NewSpanCounter(sp *Span) *SpanCounter { return &SpanCounter{sp: sp} }
-
-// Event implements Tracer.
-func (c *SpanCounter) Event(e Event) {
-	switch e.Type {
-	case EvPowerOn:
-		c.periods++
-	case EvCheckpointCommit:
-		c.backups++
-	case EvBrownOut:
-		c.brownOuts++
-	case EvEnginePath:
-		c.batchCyc, c.stepCyc = e.Arg, e.Arg2
-	case EvRunEnd:
-		c.cycles = e.Cycles
-		c.completed = e.Arg == 1
-	}
-}
-
-// Flush writes the accumulated counts onto the span.
-func (c *SpanCounter) Flush() {
-	if c.sp == nil {
-		return
-	}
-	c.sp.SetUint("periods", c.periods)
-	c.sp.SetUint("backups", c.backups)
-	c.sp.SetUint("brown_outs", c.brownOuts)
-	c.sp.SetUint("simcycles", c.cycles)
-	c.sp.SetUint("batch_cycles", c.batchCyc)
-	c.sp.SetUint("step_cycles", c.stepCyc)
-	c.sp.SetBool("completed", c.completed)
-}

@@ -115,7 +115,7 @@ func (e *Executor) Stats() Stats {
 
 // defaultExec is the process-wide executor sweep.Run resolves to; a CLI
 // or service configures it once at startup (mirroring
-// device.SetDefaultEngine), so drivers inherit caching without plumbing.
+// device.SetDefaultObserver), so drivers inherit caching without plumbing.
 var defaultExec atomic.Pointer[Executor]
 
 // SetDefault installs the process-wide executor. Call once, at startup.
@@ -305,34 +305,23 @@ func (e *Executor) finish(c *Cell, cfg device.Config, strat device.Strategy, key
 // when ctx ends; for a keyed cell ctx is the flight's, which ends only
 // once every caller waiting on the cell has left. When the context
 // carries a trace, the simulation gets its own "device.run" span whose
-// attributes (periods, backups, brown-outs, simcycles) are counted from
-// the device's own lifecycle events: a SpanCounter is combined with
-// whatever tracer the config or process default would have used, so
-// tracing a request never displaces the metrics sink.
+// attributes are read off the finished run (runSpanAttrs); the device
+// runs exactly as it would untraced.
 func runLive(ctx context.Context, cfg device.Config, strat device.Strategy, c *Cell) (*device.Result, device.Config, json.RawMessage, error) {
 	if cfg.Interrupt == nil {
 		cfg.Interrupt = runner.Interrupt(ctx)
 	}
 	_, sp := obsv.StartSpan(ctx, "device.run")
-	var sc *obsv.SpanCounter
-	if sp != nil {
-		sc = obsv.NewSpanCounter(sp)
-		obs := cfg.Observe
-		if obs == nil {
-			obs = device.DefaultObserver()
-		}
-		cfg.Observe = obsv.Combine(obs, sc)
-	}
 	d, err := device.New(cfg, strat)
 	if err != nil {
 		return nil, device.Config{}, nil, failSpan(sp, err)
 	}
 	res, err := d.Run()
-	if sp != nil {
-		sc.Flush()
-	}
 	if err != nil {
 		return nil, device.Config{}, nil, failSpan(sp, err)
+	}
+	if sp != nil {
+		runSpanAttrs(sp, d, res)
 	}
 	sp.Finish()
 	var extras json.RawMessage
@@ -350,6 +339,25 @@ func runLive(ctx context.Context, cfg device.Config, strat device.Strategy, c *C
 		}
 	}
 	return res, d.Cfg(), extras, nil
+}
+
+// runSpanAttrs sets a device.run span's summary of the run: active
+// periods, committed backups, brown-outs (every period but a final
+// halting one), the final simulated-cycle position, the executed cycles
+// each engine path ran, and whether the program completed.
+func runSpanAttrs(sp *obsv.Span, d *device.Device, res *device.Result) {
+	brownOuts := len(res.Periods)
+	if res.Completed {
+		brownOuts--
+	}
+	batch, step := d.EnginePath()
+	sp.SetUint("periods", uint64(len(res.Periods)))
+	sp.SetUint("backups", uint64(res.Backups()))
+	sp.SetUint("brown_outs", uint64(brownOuts))
+	sp.SetUint("simcycles", res.TotalCycles)
+	sp.SetUint("batch_cycles", batch)
+	sp.SetUint("step_cycles", step)
+	sp.SetBool("completed", res.Completed)
 }
 
 func verify(c *Cell, res *device.Result) error {

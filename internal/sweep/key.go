@@ -76,8 +76,8 @@ type SourceFingerprinter interface {
 // harvester's source cannot be fingerprinted.
 //
 // The key covers the defaulted config exactly as device.New resolves it
-// (defaults applied, the strategy's CacheSizer block size, the resolved
-// engine), so equivalent configs spelled differently hash identically.
+// (defaults applied, the strategy's CacheSizer block size, the engine),
+// so equivalent configs spelled differently hash identically.
 // Environmental fields — RunTimeout, Interrupt, Observe — are excluded:
 // they never change a Result unless they abort the run, and aborted runs
 // are never stored.
@@ -118,7 +118,7 @@ func cellKey(cfg device.Config, strat device.Strategy, version string) (Key, boo
 	w.str("strategy-key", stratKey)
 	hashProgram(w, cfg.Prog)
 
-	w.str("engine", cfg.Engine.Resolved().String())
+	w.str("engine", cfg.Engine.String())
 	w.u64("sram", uint64(cfg.SRAMSize))
 	w.u64("fram", uint64(cfg.FRAMSize))
 

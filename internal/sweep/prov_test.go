@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
+	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 )
@@ -39,15 +41,32 @@ func spansNamed(td *obsv.TraceData, name string) []*obsv.SpanNode {
 }
 
 // TestExecutorCellSpans: a traced cold run records one "cell" span per
-// cell with its outcome and a nested "device.run" span carrying the
-// simulation's lifecycle counts; the warm run's cells are hits with no
-// device.run underneath.
+// cell with its outcome and a nested "device.run" span whose attributes
+// agree with the same cell's Result and with the device's lifecycle
+// events; the warm run's cells are hits with no device.run underneath.
 func TestExecutorCellSpans(t *testing.T) {
 	e := NewExecutor(NewMemStore(0))
 	cells := []Cell{testCell(t, 1, 2000), testCell(t, 1, 3000)}
+	// Each cold cell's device also feeds its own Metrics sink, so the
+	// span counts are checked against the event stream too.
+	metrics := make([]obsv.Metrics, len(cells))
+	index := map[string]int{}
+	for i := range cells {
+		build, m := cells[i].Build, &metrics[i]
+		cells[i].Build = func(ctx context.Context) (device.Config, device.Strategy, error) {
+			cfg, s, err := build(ctx)
+			cfg.Observe = m
+			return cfg, s, err
+		}
+		index[cells[i].Label] = i
+	}
 
-	cold, _ := tracedRun(t, e, cells, 2)
-	cellSpans := spansNamed(cold, "cell")
+	tr := obsv.NewTrace(obsv.NewTraceID(), 0)
+	results, errs := e.Run(obsv.ContextWithTrace(context.Background(), tr), cells, runner.Options{Workers: 2})
+	if len(errs) != 0 {
+		t.Fatal(errs[0])
+	}
+	cellSpans := spansNamed(tr.Snapshot(), "cell")
 	if len(cellSpans) != 2 {
 		t.Fatalf("cold run recorded %d cell spans", len(cellSpans))
 	}
@@ -55,7 +74,12 @@ func TestExecutorCellSpans(t *testing.T) {
 		if sp.Attrs["outcome"] != "miss" {
 			t.Fatalf("cold cell outcome %q", sp.Attrs["outcome"])
 		}
-		if sp.Attrs["completed"] != "true" || sp.Attrs["simcycles"] == "" || sp.Attrs["simcycles"] == "0" {
+		i, ok := index[sp.Attrs["label"]]
+		if !ok {
+			t.Fatalf("cell span label %q", sp.Attrs["label"])
+		}
+		res, m := results[i].Result, &metrics[i]
+		if sp.Attrs["completed"] != "true" || sp.Attrs["simcycles"] != strconv.FormatUint(res.TotalCycles, 10) {
 			t.Fatalf("cold cell attrs %v", sp.Attrs)
 		}
 		var dev *obsv.SpanNode
@@ -67,13 +91,34 @@ func TestExecutorCellSpans(t *testing.T) {
 		if dev == nil {
 			t.Fatal("cell span has no device.run child")
 		}
-		if dev.Attrs["periods"] == "" || dev.Attrs["backups"] == "" {
-			t.Fatalf("device.run attrs %v", dev.Attrs)
+		var executed uint64
+		for _, p := range res.Periods {
+			executed += p.ProgressCycles + p.DeadCycles
 		}
-		// Engine-path attribution: the timer runtime batches, so some
-		// executed cycles ran in batches.
-		if dev.Attrs["step_cycles"] == "" || dev.Attrs["batch_cycles"] == "" || dev.Attrs["batch_cycles"] == "0" {
-			t.Fatalf("device.run engine-path attrs %v", dev.Attrs)
+		if m.Periods != uint64(len(res.Periods)) || m.Backups != uint64(res.Backups()) ||
+			m.BatchCycles+m.StepCycles != executed {
+			t.Fatalf("%s: events (periods %d, backups %d, executed %d) disagree with the Result (%d, %d, %d)",
+				sp.Attrs["label"], m.Periods, m.Backups, m.BatchCycles+m.StepCycles,
+				len(res.Periods), res.Backups(), executed)
+		}
+		// The timer runtime batches, so some executed cycles ran in
+		// batches.
+		if m.BatchCycles == 0 {
+			t.Fatalf("%s: no batched cycles", sp.Attrs["label"])
+		}
+		want := map[string]string{
+			"periods":      strconv.Itoa(len(res.Periods)),
+			"backups":      strconv.Itoa(res.Backups()),
+			"brown_outs":   strconv.FormatUint(m.BrownOuts, 10),
+			"simcycles":    strconv.FormatUint(res.TotalCycles, 10),
+			"batch_cycles": strconv.FormatUint(m.BatchCycles, 10),
+			"step_cycles":  strconv.FormatUint(m.StepCycles, 10),
+			"completed":    strconv.FormatBool(res.Completed),
+		}
+		for k, v := range want {
+			if dev.Attrs[k] != v {
+				t.Errorf("%s: device.run %s = %q, want %q", sp.Attrs["label"], k, dev.Attrs[k], v)
+			}
 		}
 	}
 

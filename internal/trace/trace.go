@@ -247,7 +247,7 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // ReadCSV parses a trace written by WriteCSV. The sample period is
 // inferred from the first two timestamps. Malformed input — ragged
 // rows, unparsable numbers, non-finite or negative voltages, non-finite
-// or non-increasing timestamps — yields a *ParseError naming the line,
+// or non-increasing timestamps, a sample period that overflows — yields a *ParseError naming the line,
 // so a bad recording fails loudly instead of driving the harvester with
 // garbage.
 func ReadCSV(r io.Reader, name string) (*Trace, error) {
@@ -276,6 +276,9 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 		}
 		if i > 0 && times[i] <= times[i-1] {
 			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("time %g does not increase past %g", times[i], times[i-1])}
+		}
+		if i == 1 && math.IsInf(times[1]-times[0], 0) {
+			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("sample period %g − %g is not finite", times[1], times[0])}
 		}
 		if samples[i], err = strconv.ParseFloat(rec[1], 64); err != nil {
 			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("voltage %q", rec[1]), Err: err}

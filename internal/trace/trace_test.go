@@ -174,6 +174,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"inf time", "time_s,voltage_v\n0,1\nInf,2\n", 3},
 		{"repeated time", "time_s,voltage_v\n0,1\n0,2\n0.1,3\n", 3},
 		{"backwards time", "time_s,voltage_v\n0,1\n0.2,2\n0.1,3\n", 4},
+		{"infinite period", "t,v\n-1e308,1\n1e308,1\n", 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -193,6 +194,38 @@ func TestReadCSVErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadCSV: whatever the bytes, ReadCSV either fails or returns a
+// trace the harvester can be driven with — at least two samples, each a
+// finite non-negative voltage, and a finite positive sample period.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("time_s,voltage_v\n0,1\n0.1,2\n")
+	f.Add("t,v\n0,0\n1e-9,3.3\n2e-9,0\n")
+	f.Add("t,v\n-1e308,1\n1e308,1\n")
+	f.Add("t,v\n0,1\n0.1,2,3\n")
+	var buf bytes.Buffer
+	if err := Generate(Spikes, 0.01, 0.001, 1).WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Fuzz(func(t *testing.T, data string) {
+		tr, err := ReadCSV(strings.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		if len(tr.SamplesV) < 2 {
+			t.Fatalf("accepted a trace of %d samples", len(tr.SamplesV))
+		}
+		if math.IsNaN(tr.PeriodS) || math.IsInf(tr.PeriodS, 0) || tr.PeriodS <= 0 {
+			t.Fatalf("accepted sample period %g", tr.PeriodS)
+		}
+		for i, v := range tr.SamplesV {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Fatalf("accepted sample %d = %g", i, v)
+			}
+		}
+	})
 }
 
 // TestParseErrorUnwrap: the strconv cause stays reachable for callers
